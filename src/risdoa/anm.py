@@ -19,6 +19,22 @@ The splitting alternates (1) exact projection onto the structure and data
 constraints with the trace term folded in closed form, (2) projection onto
 the PSD cone, (3) a scaled dual update, with residual-balanced step
 adaptation.
+
+In noise-ball mode step (1) projects the observed block onto the residual
+ball. In the SVD basis of G = U diag(s) V^H the projection of a point with
+range residual r is a one-parameter family, and its multiplier lam >= 0
+solves the secular equation
+
+    sum_i |r_i|^2 / (1 + lam s_i^2)^2 = budget,
+
+the trust-region subproblem of More & Sorensen (1983). Newton's method on
+the reciprocal form 1/sqrt(budget) - 1/||r(lam)|| converges monotonically
+from the left of the root. Each projection starts from the previous
+projection's root, which the iterates barely move between splitting steps,
+so a few evaluations of the secular sum suffice; a projection that exceeds
+the Newton step cap falls back to a bracketed brentq search. The solver
+diagnostics count the root solves, the secular evaluations and the
+fallbacks.
 """
 
 from __future__ import annotations
@@ -49,14 +65,6 @@ _FLOOR = 1e-12
 
 
 @lru_cache(maxsize=None)
-def _toeplitz_classes(n: int):
-    i = np.arange(n)
-    idx = i[None, :] - i[:, None] + (n - 1)
-    counts = np.bincount(idx.ravel(), minlength=2 * n - 1)
-    return idx, counts
-
-
-@lru_cache(maxsize=None)
 def _two_level_classes(m: int, n: int):
     r = np.arange(m * n)
     mm, nn = r // n, r % n
@@ -65,6 +73,24 @@ def _two_level_classes(m: int, n: int):
     idx = dm * (2 * n - 1) + dn
     counts = np.bincount(idx.ravel(), minlength=(2 * m - 1) * (2 * n - 1))
     return idx, counts
+
+
+@lru_cache(maxsize=None)
+def _toeplitz_map(n: int) -> np.ndarray:
+    """Real n^2 x n^2 matrix that averages each diagonal of a row-major n x n matrix."""
+    i = np.arange(n)
+    diag = (i[None, :] - i[:, None]).ravel()
+    same = diag[:, None] == diag[None, :]
+    P = same / same.sum(axis=1, keepdims=True)
+    P.flags.writeable = False  # shared by every caller through the cache
+    return P
+
+
+def _toeplitz_average(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Diagonal averages of the square complex block A through its cached map P."""
+    n = A.shape[0]
+    pairs = np.ascontiguousarray(A).view(np.float64).reshape(n * n, 2)
+    return (P @ pairs).view(np.complex128).reshape(n, n)
 
 
 def _class_average(A: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -88,8 +114,7 @@ def project_toeplitz_hermitian(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("input must be square")
-    idx, counts = _toeplitz_classes(A.shape[0])
-    return _class_average(_hermitian(A), idx, counts)
+    return _toeplitz_average(_hermitian(A), _toeplitz_map(A.shape[0]))
 
 
 def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -195,6 +220,11 @@ class SolverDiagnostics:
     rho_final: float
     mode: str
     residual_history: tuple = field(repr=False, default=())
+    # noise-ball projections that solved for a multiplier, the secular
+    # equation evaluations they took and how many fell back to brentq
+    root_solves: int = 0
+    secular_evaluations: int = 0
+    brentq_fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -238,19 +268,30 @@ def write_residual_history(diagnostics: SolverDiagnostics, path) -> None:
 # data-coupling steps in the SVD basis of G
 
 
+# Newton steps allowed per ball projection before it falls back to brentq
+_NEWTON_STEPS = 30
+_EPS = float(np.finfo(float).eps)
+
+
 class _DataStep:
-    """Closed-form updates of the observed block for both coupling modes."""
+    """Closed-form updates of the observed block for both coupling modes.
+
+    One instance serves one solve: it holds the SVD of G, the warm start of
+    the ball projection and that solve's root-finding counts.
+    """
 
     def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0):
         self.mode = mode
         self.radius = float(radius)
         U, s, Vh = np.linalg.svd(np.asarray(G, dtype=complex), full_matrices=True)
         self.Vh = Vh
+        self.V = Vh.conj().T  # maps the SVD basis back
         zt = U.conj().T @ np.asarray(z, dtype=complex)
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > smax * 1e-12))
         self.rank = rank
         self.s = s[:rank]
+        self.s_sq = self.s**2
         self.zt = zt[:rank]
         # observation energy outside the range of G is unreachable by any x
         self.unreachable_sq = float(np.sum(np.abs(zt[rank:]) ** 2))
@@ -259,6 +300,10 @@ class _DataStep:
         self.s_full[:rank] = self.s
         self.sz_full = np.zeros(n, dtype=complex)
         self.sz_full[:rank] = self.s * self.zt
+        self.lam = 0.0  # multiplier of the last ball projection; warm start of the next
+        self.root_solves = 0
+        self.secular_evaluations = 0
+        self.brentq_fallbacks = 0
         if mode == "noise-ball":
             budget_sq = self.radius**2 - self.unreachable_sq
             if budget_sq < -max(1e-20, 1e-10 * float(np.vdot(z, z).real)):
@@ -268,10 +313,16 @@ class _DataStep:
                 )
             self.budget_sq = max(budget_sq, 0.0)
 
-    def residual_norm(self, x: np.ndarray, z: np.ndarray, G: np.ndarray) -> float:
-        return float(np.linalg.norm(z - G @ x))
-
     def ball_project(self, x0: np.ndarray) -> np.ndarray:
+        """Nearest x to x0 with ||z - G x|| inside the noise ball.
+
+        In the SVD basis the residual of x0 is r on the range of G, and the
+        projection is xt = (xt0 + lam s zt) / (1 + lam s^2) for the
+        multiplier lam >= 0 that solves the secular equation
+        sum |r|^2 / (1 + lam s^2)^2 = budget. x0 comes back unchanged when
+        it already lies in the ball, and a zero budget gives the exact fit
+        on the range.
+        """
         xt = self.Vh @ x0
         r0 = self.zt - self.s * xt[: self.rank]
         r0_sq = np.abs(r0) ** 2
@@ -280,25 +331,78 @@ class _DataStep:
         if self.budget_sq <= _FLOOR**2:
             xt[: self.rank] = self.zt / self.s
         else:
+            lam = self._secular_root(r0_sq)
+            xt[: self.rank] = (xt[: self.rank] + lam * self.s * self.zt) / (1.0 + lam * self.s_sq)
+        return self.V @ xt
 
-            def gap(lam):
-                return float(np.sum(r0_sq / (1.0 + lam * self.s**2) ** 2)) - self.budget_sq
+    def _secular_root(self, r0_sq: np.ndarray) -> float:
+        """Multiplier of the ball projection by safeguarded Newton steps.
 
-            hi = 1.0
-            while gap(hi) > 0.0:
-                hi *= 4.0
-                if hi > 1e24:
-                    raise InfeasibleConstraintError("ball projection failed to bracket")
-            lam = brentq(gap, 0.0, hi, xtol=1e-14)
-            xt[: self.rank] = (xt[: self.rank] + lam * self.s * self.zt) / (1.0 + lam * self.s**2)
-        return self.Vh.conj().T @ xt
+        Newton runs on 1/sqrt(budget) - 1/||r(lam)||, which is decreasing and
+        convex in lam (the trust-region form of More & Sorensen), so from any
+        point left of the root its steps rise monotonically to the root
+        without passing it. It starts at the previous projection's root; a
+        step from the right of the root can overshoot to the left, and one
+        that lands below the largest multiplier known to leave the residual
+        outside the ball is moved up to it. The iteration stops when the
+        secular residual is within a few ulps of the budget or the
+        multiplier stops changing, and falls back to a bracketed brentq
+        search after _NEWTON_STEPS steps.
+        """
+        s_sq, budget = self.s_sq, self.budget_sq
+        target = 1.0 / math.sqrt(budget)
+        self.root_solves += 1
+        lo = 0.0  # the residual at lam = 0 lies outside the ball
+        lam = self.lam
+        for _ in range(_NEWTON_STEPS):
+            w = 1.0 + lam * s_sq
+            terms = r0_sq / (w * w)
+            n_sq = float(terms.sum())
+            self.secular_evaluations += 1
+            if abs(n_sq - budget) <= 4.0 * _EPS * budget:
+                break
+            if n_sq > budget:
+                lo = lam  # no step goes below lo, so this lam is the largest such
+            slope = float(terms.dot(s_sq / w))
+            step = n_sq * (math.sqrt(n_sq) * target - 1.0) / slope
+            new = max(lam + step, lo)
+            settled = abs(new - lam) <= 4.0 * _EPS * lam
+            lam = new
+            if settled:
+                break
+        else:
+            lam = self._bracketed_root(r0_sq)
+            self.brentq_fallbacks += 1
+        self.lam = lam
+        return lam
+
+    def _bracketed_root(self, r0_sq: np.ndarray) -> float:
+        s_sq, budget = self.s_sq, self.budget_sq
+
+        def gap(lam):
+            self.secular_evaluations += 1
+            return float(np.sum(r0_sq / (1.0 + lam * s_sq) ** 2)) - budget
+
+        hi = 1.0
+        while gap(hi) > 0.0:
+            hi *= 4.0
+            if hi > 1e24:
+                raise InfeasibleConstraintError("ball projection failed to bracket")
+        return brentq(gap, 0.0, hi, xtol=1e-14)
+
+    def root_counts(self) -> dict:
+        return dict(
+            root_solves=self.root_solves,
+            secular_evaluations=self.secular_evaluations,
+            brentq_fallbacks=self.brentq_fallbacks,
+        )
 
     def penalty_solve(self, v: np.ndarray, rho: float) -> np.ndarray:
         # argmin_x 0.5 ||z - G x||^2 + rho ||x - v||^2 (x enters the bordered
         # matrix twice, hence the doubled quadratic weight)
         vt = self.Vh @ v
         xt = (self.sz_full + 2.0 * rho * vt) / (self.s_full**2 + 2.0 * rho)
-        return self.Vh.conj().T @ xt
+        return self.V @ xt
 
 
 def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) -> float:
@@ -312,6 +416,13 @@ def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) 
 
 # ---------------------------------------------------------------------------
 # shared splitting loop
+
+
+def _fro(A: np.ndarray) -> float:
+    """Frobenius norm of a contiguous complex array, summed as np.linalg.norm sums it."""
+    a = A.ravel()
+    re, im = a.real, a.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
@@ -328,13 +439,13 @@ def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
         Z_prev = Z
         Z = project_psd(Q + dual)
         R = Q - Z
-        dual = dual + R
-        r_pri = float(np.linalg.norm(R))
-        r_dual = rho * float(np.linalg.norm(Z - Z_prev))
+        dual += R
+        r_pri = _fro(R)
+        r_dual = rho * _fro(Z - Z_prev)
         if it == 1 or it % config.record_every == 0:
             history.append((it, r_pri, r_dual))
-        scale_pri = max(float(np.linalg.norm(Q)), float(np.linalg.norm(Z)), _FLOOR)
-        scale_dual = max(rho * float(np.linalg.norm(dual)), _FLOOR)
+        scale_pri = max(_fro(Q), _fro(Z), _FLOOR)
+        scale_dual = max(rho * _fro(dual), _FLOOR)
         if r_pri <= config.tolerance * scale_pri and r_dual <= config.tolerance * scale_dual:
             converged = True
             history.append((it, r_pri, r_dual))
@@ -390,25 +501,23 @@ def solve_danm(
         data = _DataStep(G, z, "regularized")
         trace_weight = _resolve_alpha(config, noise_power, M * N, z.size)
 
-    idx_r, cnt_r = _toeplitz_classes(M)
-    idx_c, cnt_c = _toeplitz_classes(N)
-    eye_m, eye_n = np.eye(M), np.eye(N)
+    map_r, map_c = _toeplitz_map(M), _toeplitz_map(N)
+    diagonal = np.arange(M + N)
 
     def structure_step(V, rho):
-        shift = trace_weight / (2.0 * rho)
-        T_x = _class_average(_hermitian(V[:M, :M]), idx_r, cnt_r) - shift * eye_m
-        T_y = _class_average(_hermitian(V[M:, M:]), idx_c, cnt_c) - shift * eye_n
-        v_x = _hermitian(V)[:M, M:].reshape(-1)
+        H = _hermitian(V)
+        out = np.empty_like(H)
+        out[:M, :M] = _toeplitz_average(H[:M, :M], map_r)
+        out[M:, M:] = _toeplitz_average(H[M:, M:], map_c)
+        v_x = H[:M, M:].reshape(-1)
         if config.mode == "noise-ball":
             x = data.ball_project(v_x)
         else:
             x = data.penalty_solve(v_x, rho)
         X = x.reshape(M, N)
-        out = np.empty((M + N, M + N), dtype=complex)
-        out[:M, :M] = T_x
-        out[M:, M:] = T_y
         out[:M, M:] = X
         out[M:, :M] = X.conj().T
+        out[diagonal, diagonal] -= trace_weight / (2.0 * rho)
         return out
 
     Q, rho, iters, r_pri, r_dual, history = _run_splitting(
@@ -426,6 +535,7 @@ def solve_danm(
         rho_final=rho,
         mode=config.mode,
         residual_history=history,
+        **data.root_counts(),
     )
     return DecoupledSdpVars(T_x=T_x, T_y=T_y, X=X, diagnostics=diag)
 
@@ -512,6 +622,7 @@ def solve_full_anm(
         rho_final=rho,
         mode=mode,
         residual_history=history,
+        **(data.root_counts() if data is not None else {}),
     )
     return FullSdpVars(T=T, t=t, x=x_out, diagnostics=diag)
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from risdoa import anm
 from risdoa.anm import (
     AtomicDecomposition,
     SolverConfig,
@@ -22,10 +25,18 @@ from risdoa.anm import (
 from risdoa.errors import (
     ConfigError,
     DegenerateInputError,
+    InfeasibleConstraintError,
     SizeCapError,
     SolverConvergenceError,
 )
-from risdoa.model import RisGeometry, axis_atom, build_code_schedule, steering_vector
+from risdoa.model import (
+    RisGeometry,
+    SourceSet,
+    axis_atom,
+    build_code_schedule,
+    steering_vector,
+    synthesize_ideal,
+)
 
 
 def _rand_complex(rng, *shape):
@@ -171,6 +182,135 @@ class TestVandermonde:
         T = toeplitz_from_atoms([0.2], [1.0], dim=6)
         with pytest.raises(DegenerateInputError):
             vandermonde_decompose(T, 3)
+
+
+def _code_matrix(rng, rows, cols, singular_values):
+    """rows x cols complex matrix with the given singular values (zeros pad the rank)."""
+    U, _ = np.linalg.qr(_rand_complex(rng, rows, rows))
+    V, _ = np.linalg.qr(_rand_complex(rng, cols, cols))
+    S = np.zeros((rows, cols))
+    S[: len(singular_values), : len(singular_values)] = np.diag(singular_values)
+    return U @ S @ V.conj().T
+
+
+def _ball_case(seed, rank, decades, fraction):
+    """A data step whose start point lies outside the ball.
+
+    The squared radius is the energy outside the range of G plus the given
+    fraction of the start point's residual energy on the range.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = 12, 8
+    G = _code_matrix(rng, rows, cols, np.logspace(0.0, -decades, rank))
+    z, x0 = _rand_complex(rng, rows), _rand_complex(rng, cols)
+    U = np.linalg.svd(G)[0][:, :rank]
+    outside = z - U @ (U.conj().T @ z)
+    inside = U @ (U.conj().T @ (z - G @ x0))
+    radius_sq = np.vdot(outside, outside).real + fraction * np.vdot(inside, inside).real
+    return anm._DataStep(G, z, "noise-ball", radius=math.sqrt(radius_sq)), G, z, x0
+
+
+def _reference_root(data, x0):
+    """Multiplier of the ball projection by a tight bracketed search."""
+    r0 = data.zt - data.s * (data.Vh @ x0)[: data.rank]
+
+    def gap(lam):
+        return np.sum(np.abs(r0) ** 2 / (1.0 + lam * data.s**2) ** 2) - data.budget_sq
+
+    hi = 1.0
+    while gap(hi) > 0.0:
+        hi *= 2.0
+    return brentq(gap, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
+class TestBallProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 8),
+        decades=st.floats(0.0, 10.0),
+        fraction=st.floats(0.01, 0.9),
+    )
+    def test_root_matches_a_reference_bracketed_root(self, seed, rank, decades, fraction):
+        data, G, z, x0 = _ball_case(seed, rank, decades, fraction)
+        data.ball_project(x0)
+        assert data.root_solves == 1 and data.brentq_fallbacks == 0
+        assert data.lam == pytest.approx(_reference_root(data, x0), rel=1e-12)
+
+    # a wider spread makes x large, and rounding in G x then swamps the check
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 8),
+        decades=st.floats(0.0, 3.0),
+        fraction=st.floats(0.01, 0.9),
+    )
+    def test_point_outside_lands_on_the_boundary(self, seed, rank, decades, fraction):
+        data, G, z, x0 = _ball_case(seed, rank, decades, fraction)
+        x = data.ball_project(x0)
+        assert np.linalg.norm(z - G @ x) == pytest.approx(data.radius, rel=1e-12)
+
+    def test_point_inside_is_returned_unchanged(self):
+        data, G, z, x0 = _ball_case(1, 5, 2.0, 0.5)
+        inner = data.ball_project(x0)
+        assert data.ball_project(inner) is inner
+        assert data.root_solves == 1
+
+    def test_zero_budget_gives_the_exact_range_fit(self):
+        rng = np.random.default_rng(2)
+        G = _code_matrix(rng, 12, 8, np.logspace(0.0, -3.0, 6))
+        z, x0 = G @ _rand_complex(rng, 8), _rand_complex(rng, 8)
+        x = anm._DataStep(G, z, "noise-ball", radius=0.0).ball_project(x0)
+        np.testing.assert_allclose(x, x0 + np.linalg.pinv(G) @ (z - G @ x0), atol=1e-9)
+
+    def test_warm_start_from_a_nearby_root_saves_evaluations(self):
+        warm, G, z, x0 = _ball_case(3, 8, 2.0, 0.3)
+        cold, *_ = _ball_case(3, 8, 2.0, 0.3)
+        x1 = x0 * (1.0 + 1e-3)
+        warm.ball_project(x0)
+        before = warm.secular_evaluations
+        np.testing.assert_allclose(warm.ball_project(x1), cold.ball_project(x1), rtol=1e-12)
+        assert warm.secular_evaluations - before < cold.secular_evaluations
+
+    def test_brentq_fallback_gives_the_same_point(self, monkeypatch):
+        data, G, z, x0 = _ball_case(4, 6, 4.0, 0.2)
+        newton = data.ball_project(x0)
+        monkeypatch.setattr(anm, "_NEWTON_STEPS", 0)
+        fallback, *_ = _ball_case(4, 6, 4.0, 0.2)
+        np.testing.assert_allclose(fallback.ball_project(x0), newton, rtol=1e-12, atol=0)
+        assert fallback.brentq_fallbacks == 1
+
+    def test_fallback_that_cannot_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(anm, "_NEWTON_STEPS", 0)
+        # a direction with singular value 1e-11 needs a multiplier near 1e34
+        data, G, z, x0 = _ball_case(5, 3, 11.0, 1e-12)
+        with pytest.raises(InfeasibleConstraintError, match="bracket"):
+            data.ball_project(x0)
+
+    def test_energy_outside_the_range_beyond_the_ball_is_infeasible(self):
+        geom = RisGeometry(2, 2)
+        rng = np.random.default_rng(6)
+        G = _code_matrix(rng, 6, 4, [1.0, 0.5, 0.2, 0.1])
+        z = _rand_complex(rng, 6)
+        U = np.linalg.svd(G)[0][:, :4]
+        outside = z - U @ (U.conj().T @ z)
+        with pytest.raises(InfeasibleConstraintError, match="outside the range"):
+            solve_danm(z, G, geom, noise_power=0.5 * float(np.vdot(outside, outside).real))
+
+    def test_desk_solve_needs_few_secular_evaluations(self):
+        geom = RisGeometry(8, 8)
+        sched = build_code_schedule(96, geom.n_elements, seed=5)
+        src = SourceSet(
+            elevations_deg=np.array([45.4, 72.8]),
+            azimuths_deg=np.array([-22.3, 18.9]),
+            amplitudes=np.array([1.0, np.exp(0.9j)]),
+        )
+        snap = synthesize_ideal(geom, sched, src, snr_db=20.0, seed=12)
+        budget = snap.noise_power * snap.samples.size
+        d = solve_danm(snap.samples, sched.codes, geom, noise_power=budget).diagnostics
+        assert d.root_solves > d.iterations // 2
+        assert d.secular_evaluations <= 4 * d.root_solves
+        assert d.brentq_fallbacks == 0
 
 
 class TestSolverConfig:

@@ -14,6 +14,7 @@ and says in its change log which rows moved, by how much and why.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 from risdoa.config import PlanConfig, SourceSpec, TrainSettings, desk_scenario
@@ -60,14 +61,11 @@ def test_bench_matches_golden(tmp_path):
 
 def regenerate(out_dir: Path = GOLDEN) -> None:
     """Write the golden model and result files (training first, then the bench)."""
-    work = out_dir / "_work"
     run_train(SCENARIO, SETTINGS, out_dir)
-    run_bench(SCENARIO, PLAN, work, model_path=out_dir / "model.bin")
-    for name in BENCH_FILES:
-        (out_dir / name).write_bytes((work / name).read_bytes())
-    for path in work.iterdir():
-        path.unlink()
-    work.rmdir()
+    with tempfile.TemporaryDirectory() as work:
+        run_bench(SCENARIO, PLAN, work, model_path=out_dir / "model.bin")
+        for name in BENCH_FILES:
+            (out_dir / name).write_bytes((Path(work) / name).read_bytes())
 
 
 if __name__ == "__main__":
