@@ -272,6 +272,22 @@ class TestBallProjection:
         np.testing.assert_allclose(warm.ball_project(x1), cold.ball_project(x1), rtol=1e-12)
         assert warm.secular_evaluations - before < cold.secular_evaluations
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.floats(0.0, 4.0),
+        fraction=st.floats(0.3, 0.9),
+        start=st.floats(1e3, 1e15),
+    )
+    def test_warm_start_far_right_of_the_root_is_clamped(self, seed, decades, fraction, start):
+        # a Newton step from far right of the root can land left of zero,
+        # near the pole of the secular sum, unless it is clamped
+        data, G, z, x0 = _ball_case(seed, 8, decades, fraction)
+        data.lam = start
+        data.ball_project(x0)
+        assert data.brentq_fallbacks == 0
+        assert data.lam == pytest.approx(_reference_root(data, x0), rel=1e-12)
+
     def test_brentq_fallback_gives_the_same_point(self, monkeypatch):
         data, G, z, x0 = _ball_case(4, 6, 4.0, 0.2)
         newton = data.ball_project(x0)
