@@ -273,19 +273,38 @@ _NEWTON_STEPS = 30
 _EPS = float(np.finfo(float).eps)
 
 
+@lru_cache(maxsize=4)
+def _svd_of(shape: tuple, data: bytes):
+    U, s, Vh = np.linalg.svd(np.frombuffer(data, dtype=complex).reshape(shape), full_matrices=True)
+    V = Vh.conj()
+    for a in (U, s, Vh, V):
+        a.flags.writeable = False  # shared by every solve through the cache
+    return U, s, Vh, V.T
+
+
+def _code_svd(G: np.ndarray):
+    """Full SVD (U, s, Vh) of the code matrix G plus V = Vh^H, read-only.
+
+    A benchmark run solves many snapshots against one code matrix, so the
+    factors are cached by G's contents: a matrix with the same shape and
+    bytes reuses them, and any change to an entry misses the cache.
+    """
+    G = np.ascontiguousarray(G, dtype=complex)
+    return _svd_of(G.shape, G.tobytes())
+
+
 class _DataStep:
     """Closed-form updates of the observed block for both coupling modes.
 
-    One instance serves one solve: it holds the SVD of G, the warm start of
-    the ball projection and that solve's root-finding counts.
+    One instance serves one solve: it holds the observation in the SVD
+    basis of G (the factors themselves are shared through _code_svd), the
+    warm start of the ball projection and that solve's root-finding counts.
     """
 
     def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0):
         self.mode = mode
         self.radius = float(radius)
-        U, s, Vh = np.linalg.svd(np.asarray(G, dtype=complex), full_matrices=True)
-        self.Vh = Vh
-        self.V = Vh.conj().T  # maps the SVD basis back
+        U, s, self.Vh, self.V = _code_svd(G)  # V maps the SVD basis back
         zt = U.conj().T @ np.asarray(z, dtype=complex)
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > smax * 1e-12))

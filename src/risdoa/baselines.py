@@ -48,12 +48,29 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class GridDictionary:
-    """Ideal-code responses for every grid point, built once and reused."""
+    """Ideal-code responses for every grid point, built once and reused.
+
+    Every use correlates a snapshot against the responses, so only their
+    conjugates are kept: conjugate holds the conjugated responses and
+    unit_conjugate the same scaled to unit norm, both (samples, grid
+    points) with elevation-major columns. peak_row/peak_col are the grid's
+    spatial frequencies times the element spacings, the coordinates peak
+    picking measures distances in. All arrays are read-only, since one
+    dictionary serves every cell of a run.
+    """
 
     grid: AngleGrid
     geometry: RisGeometry
-    matrix: np.ndarray  # (samples, grid points), column order: elevation-major
+    conjugate: np.ndarray
+    unit_conjugate: np.ndarray
     norms: np.ndarray
+    peak_row: np.ndarray
+    peak_col: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The code responses themselves, (samples, grid points); a fresh copy."""
+        return self.conjugate.conj()
 
 
 def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid) -> GridDictionary:
@@ -67,14 +84,32 @@ def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid)
     col_phase = np.exp(-2j * np.pi * geom.col_spacing * np.outer(n_idx, f_col.ravel()))
     atoms = (row_phase[:, None, :] * col_phase[None, :, :]).reshape(geom.n_elements, -1)
     matrix = schedule.codes.astype(complex) @ atoms
+    # dropping the atoms and overwriting the responses with their unit-norm
+    # conjugates keeps the build within the arrays the norm itself takes
+    del atoms
     norms = np.linalg.norm(matrix, axis=0)
-    return GridDictionary(grid=grid, geometry=geom, matrix=matrix, norms=norms)
+    conjugate = matrix.conj()
+    unit_conjugate = np.divide(matrix, np.maximum(norms, 1e-300), out=matrix)
+    np.conjugate(unit_conjugate, out=unit_conjugate)
+    peak_row = geom.row_spacing * np.cos(el)[:, None] * np.ones(az.size)[None, :]
+    peak_col = geom.col_spacing * np.sin(el)[:, None] * np.sin(az)[None, :]
+    for a in (conjugate, unit_conjugate, norms, peak_row, peak_col):
+        a.flags.writeable = False
+    return GridDictionary(
+        grid=grid,
+        geometry=geom,
+        conjugate=conjugate,
+        unit_conjugate=unit_conjugate,
+        norms=norms,
+        peak_row=peak_row,
+        peak_col=peak_col,
+    )
 
 
 def grid_spectrum(samples: np.ndarray, dictionary: GridDictionary) -> np.ndarray:
     """Matched-filter score per grid point: |response^H z|^2 / ||response||^2."""
     z = np.asarray(samples, complex)
-    corr = dictionary.matrix.conj().T @ z
+    corr = dictionary.conjugate.T @ z
     score = np.abs(corr) ** 2 / np.maximum(dictionary.norms**2, 1e-300)
     return score.reshape(dictionary.grid.shape)
 
@@ -88,7 +123,9 @@ def _parabolic_offset(left: float, mid: float, right: float) -> float:
     return float(np.clip(offset, -0.5, 0.5))
 
 
-def _pick_peaks(spectrum: np.ndarray, grid: AngleGrid, geom: RisGeometry, count: int, exclusion_beams: float):
+def _pick_peaks(
+    spectrum: np.ndarray, dictionary: GridDictionary, count: int, exclusion_beams: float
+):
     """Greedy maxima, each suppressing its own mainlobe before the next pick.
 
     Exclusion is an ellipse in the two spatial frequencies sized by the
@@ -97,10 +134,8 @@ def _pick_peaks(spectrum: np.ndarray, grid: AngleGrid, geom: RisGeometry, count:
     next pick would land on the shoulder of the previous one.
     """
     work = spectrum.copy()
-    el = np.deg2rad(grid.elevations_deg)
-    az = np.deg2rad(grid.azimuths_deg)
-    f_row = geom.row_spacing * np.cos(el)[:, None] * np.ones(az.size)[None, :]
-    f_col = geom.col_spacing * np.sin(el)[:, None] * np.sin(az)[None, :]
+    geom = dictionary.geometry
+    f_row, f_col = dictionary.peak_row, dictionary.peak_col
     picks = []
     for _ in range(count):
         flat = int(np.argmax(work))
@@ -129,7 +164,7 @@ def grid_estimate(
     """
     spectrum = grid_spectrum(samples, dictionary)
     grid = dictionary.grid
-    picks = _pick_peaks(spectrum, grid, dictionary.geometry, num_sources, exclusion_beams)
+    picks = _pick_peaks(spectrum, dictionary, num_sources, exclusion_beams)
     el_step = float(grid.elevations_deg[1] - grid.elevations_deg[0]) if grid.elevations_deg.size > 1 else 0.0
     az_step = float(grid.azimuths_deg[1] - grid.azimuths_deg[0]) if grid.azimuths_deg.size > 1 else 0.0
     els, azs = [], []
@@ -159,16 +194,14 @@ def omp_estimate(samples: np.ndarray, dictionary: GridDictionary, num_sources: i
     elevation.
     """
     z = np.asarray(samples, complex)
-    matrix = dictionary.matrix
-    unit = matrix / np.maximum(dictionary.norms, 1e-300)
     residual = z.copy()
     chosen: list[int] = []
     for step in range(num_sources):
-        scores = np.abs(unit.conj().T @ residual)
+        scores = np.abs(dictionary.unit_conjugate.T @ residual)
         scores[chosen] = -1.0
         pick = int(np.argmax(scores))
         chosen.append(pick)
-        selected = matrix[:, chosen]
+        selected = dictionary.conjugate[:, chosen].conj()
         coef, _, rank, _ = np.linalg.lstsq(selected, z, rcond=None)
         if rank < len(chosen):
             raise DegenerateInputError(

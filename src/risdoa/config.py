@@ -136,6 +136,23 @@ class PlanConfig:
     solver_max_iterations: int = 20_000
     full_solver_cap: int = 256
 
+    def __post_init__(self):
+        if self.trials < 1 or self.workers < 1:
+            raise ConfigError(
+                f"trials and workers must be at least 1, got {self.trials} and {self.workers}"
+            )
+        if not self.grid_step_deg > 0.0:
+            raise ConfigError(f"grid step must be positive, got {self.grid_step_deg}")
+        # +inf is a noiseless cell; nan and -inf name no noise level
+        bad = [v for v in self.snr_list if math.isnan(v) or v == -math.inf]
+        if bad:
+            raise ConfigError(f"SNR values must be numbers or +inf, got {bad}")
+        if not (self.solver_tolerance > 0.0 and self.solver_max_iterations > 0):
+            raise ConfigError(
+                "solver tolerance and iteration cap must be positive, got "
+                f"{self.solver_tolerance} and {self.solver_max_iterations}"
+            )
+
 
 def desk_scenario(**overrides) -> ScenarioConfig:
     """Small grid sized for quick runs: 8x8 elements, 64 samples."""

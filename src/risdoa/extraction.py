@@ -108,11 +108,16 @@ def pairing_scores(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry) -> np
 
 def pair_frequencies(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry):
     """Match row to column frequencies by maximum total response of X."""
+    return _pairs_and_scores(row_freqs, col_freqs, X, geom)[0]
+
+
+def _pairs_and_scores(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry):
+    """The pairing of pair_frequencies together with the score matrix it maximized."""
     S = pairing_scores(row_freqs, col_freqs, X, geom)
     if S.shape[0] != S.shape[1]:
         raise ValueError("row and column frequency lists must have equal length")
     ri, ci = linear_sum_assignment(-S)
-    return list(zip(ri.tolist(), ci.tolist()))
+    return list(zip(ri.tolist(), ci.tolist())), S
 
 
 def freqs_to_angles(f_row: float, f_col: float):
@@ -135,8 +140,7 @@ def freqs_to_angles(f_row: float, f_col: float):
 
 
 def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimate:
-    pairs = pair_frequencies(row_freqs, col_freqs, X, geom)
-    S = pairing_scores(row_freqs, col_freqs, X, geom)
+    pairs, S = _pairs_and_scores(row_freqs, col_freqs, X, geom)
     atoms = []
     angles = []
     for i, j in pairs:

@@ -53,6 +53,7 @@ from .seeding import child_seed
 
 METHOD_NAMES = ("fft", "omp", "fft-denoise", "omp-denoise", "anm-denoise", "dnn-danm", "crb")
 _MODEL_METHODS = frozenset({"fft-denoise", "omp-denoise", "anm-denoise", "dnn-danm"})
+_GRID_METHODS = frozenset({"fft", "omp", "fft-denoise", "omp-denoise"})
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +150,22 @@ _CTX: dict = {}
 
 
 def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
+    _CTX.clear()  # frees the previous run's dictionary before this one is built
     schedule = scenario.schedule()
-    spec = scenario.sources
-    grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, plan.grid_step_deg)
+    dictionary = None
+    if _GRID_METHODS.intersection(plan.methods):
+        spec = scenario.sources
+        grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, plan.grid_step_deg)
+        dictionary = build_dictionary(scenario.geometry, schedule, grid)
     codes = schedule.codes.astype(complex)
     u, s, _ = np.linalg.svd(codes, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-    _CTX.clear()
     _CTX.update(
         scenario=scenario,
         plan=plan,
         params=params,
         schedule=schedule,
-        dictionary=build_dictionary(scenario.geometry, schedule, grid),
+        dictionary=dictionary,
         codes=codes,
         range_basis=u[:, :rank],
         danm_config=SolverConfig(
@@ -237,7 +241,7 @@ def _run_cell(task):
     impairments = scenario.draw_impairments(child_seed(trial_seed, STREAM_IMPAIRMENTS))
     noise_seed = child_seed(plan.seed, 1, int(round(snr_db * 1000.0)), trial)
     snap = synthesize_impaired(
-        scenario.geometry, scenario.schedule(), impairments, sources, snr_db, noise_seed
+        scenario.geometry, ctx["schedule"], impairments, sources, snr_db, noise_seed
     )
     recon = None
     if ctx["params"] is not None:

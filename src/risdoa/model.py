@@ -24,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -236,18 +237,39 @@ def sample_impairments(
     n = geom.n_elements
     amp = rng.uniform(*mismatch_amp_range, size=n)
     phase = rng.uniform(*mismatch_phase_range, size=n)
+    src, dst, keep = _coupling_pairs(geom.rows, geom.cols, tuple(map(tuple, coupling_neighbors)))
+    # one (magnitude, angle) pair per directed neighbor link, drawn in the
+    # order of the element-by-element loop the seeds were defined with
+    lo, hi = coupling_amp_range
+    draws = rng.uniform(np.tile([lo, 0.0], src.size), np.tile([hi, 2.0 * math.pi], src.size))
+    values = draws[0::2] * np.exp(1j * draws[1::2])
     coupling = np.eye(n, dtype=complex)
-    for m in range(geom.rows):
-        for c in range(geom.cols):
-            i = m * geom.cols + c
-            for dm, dc in coupling_neighbors:
-                mm, cc = m + dm, c + dc
-                if 0 <= mm < geom.rows and 0 <= cc < geom.cols:
-                    j = mm * geom.cols + cc
-                    mag = rng.uniform(*coupling_amp_range)
-                    ang = rng.uniform(0.0, 2.0 * math.pi)
-                    coupling[i, j] = mag * np.exp(1j * ang)
+    coupling[src[keep], dst[keep]] = values[keep]
     return ImpairmentModel(mismatch_amp=amp, mismatch_phase=phase, coupling=coupling)
+
+
+@lru_cache(maxsize=None)
+def _coupling_pairs(rows: int, cols: int, neighbors: tuple):
+    """Directed coupling links of a grid, in draw order, and which draws land.
+
+    Link (i, j) runs from element i to neighbor j = i + offset, ordered by
+    element (row-major) and then by offset as listed; offsets that leave the
+    grid make no link. A repeated offset draws again and overwrites, so
+    keep marks the last draw of each (i, j).
+    """
+    m, c = np.divmod(np.arange(rows * cols), cols)
+    offsets = np.asarray(neighbors, dtype=int).reshape(-1, 2)
+    mm = m[:, None] + offsets[None, :, 0]
+    cc = c[:, None] + offsets[None, :, 1]
+    inside = (mm >= 0) & (mm < rows) & (cc >= 0) & (cc < cols)
+    src = np.broadcast_to(np.arange(rows * cols)[:, None], mm.shape)[inside]
+    dst = (mm * cols + cc)[inside]
+    flat = (src * (rows * cols) + dst)[::-1]
+    _, first_from_end = np.unique(flat, return_index=True)
+    keep = np.sort(src.size - 1 - first_from_end)
+    for a in (src, dst, keep):
+        a.flags.writeable = False  # shared by every draw through the cache
+    return src, dst, keep
 
 
 def _noise_power_for(clean: np.ndarray, snr_db: float) -> float:

@@ -324,20 +324,38 @@ def save_model(params: MlpParams, path, metadata: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Read a saved model. Returns (params, metadata dict)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a saved model. Returns (params, metadata dict).
+
+    Raises ConfigError naming the file when it cannot be read, is not a
+    model file, or is truncated or corrupt.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read model file {path}: {err}") from err
+    try:
+        return _parse_model(blob)
+    except (struct.error, ValueError) as err:
+        raise ConfigError(f"corrupt or truncated model file {path}: {err}") from err
+
+
+def _parse_model(blob: bytes):
     if blob[:4] != _MAGIC:
         raise ValueError("not a reconstruction model file")
     version, num_layers = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported model version {version}")
     offset = 12
+    if offset + 8 * num_layers > len(blob):
+        raise ValueError(f"{num_layers} layer shapes do not fit in {len(blob)} bytes")
     shapes = []
     for _ in range(num_layers):
         out_dim, in_dim = struct.unpack_from("<II", blob, offset)
         shapes.append((out_dim, in_dim))
         offset += 8
+    if num_layers == 0 or any(b[1] != a[0] for a, b in zip(shapes, shapes[1:])):
+        raise ValueError(f"layer shapes {shapes} do not chain")
     weights = []
     for out_dim, in_dim in shapes:
         n = out_dim * in_dim
@@ -351,9 +369,15 @@ def load_model(path):
         offset += 8 * out_dim
     (scale_len,) = struct.unpack_from("<I", blob, offset)
     offset += 4
+    if scale_len != shapes[0][1]:
+        raise ValueError(f"feature scale has {scale_len} entries for input width {shapes[0][1]}")
     scale = np.frombuffer(blob, dtype="<f8", count=scale_len, offset=offset).copy()
     offset += 8 * scale_len
     (meta_len,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
-    metadata = json.loads(blob[offset : offset + meta_len].decode()) if meta_len else {}
+    if offset + meta_len != len(blob):
+        raise ValueError(f"metadata runs to byte {offset + meta_len} of {len(blob)}")
+    metadata = json.loads(blob[offset:].decode()) if meta_len else {}
+    if not isinstance(metadata, dict):
+        raise ValueError("metadata is not a JSON object")
     return MlpParams(weights=weights, biases=biases, feature_scale=scale), metadata

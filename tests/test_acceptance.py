@@ -46,6 +46,9 @@ from risdoa.model import (
 )
 from risdoa.network import backward, forward, generate_dataset, init_mlp, mse_loss, train
 
+# deselect with -m "not slow" for the quick test loop
+pytestmark = pytest.mark.slow
+
 # fixed evaluation scene for the benchmark checks, well separated on both
 # axes and off the search grid; amplitudes, hardware, and noise stay
 # random per trial

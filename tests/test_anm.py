@@ -329,6 +329,53 @@ class TestBallProjection:
         assert d.brentq_fallbacks == 0
 
 
+class TestCodeSvdCache:
+    GEOM = RisGeometry(3, 3)
+
+    def _observation(self, G, seed):
+        noise = 0.1 * _rand_complex(np.random.default_rng(seed), G.shape[0])
+        z = G @ steering_vector(self.GEOM, 70.0, 25.0) + noise
+        return z, float(np.vdot(noise, noise).real)
+
+    def _solve(self, G, z, budget):
+        vars = solve_danm(z, G, self.GEOM, noise_power=budget)
+        return vars.T_x.tobytes() + vars.T_y.tobytes() + vars.X.tobytes()
+
+    def _fresh(self, G, z, budget):
+        anm._svd_of.cache_clear()  # the cache is the only state a solve leaves behind
+        return self._solve(G, z, budget)
+
+    def test_interleaved_codes_solve_as_in_a_fresh_process(self):
+        G1 = build_code_schedule(12, 9, seed=1).codes
+        G2 = build_code_schedule(12, 9, seed=2).codes
+        cases = [(G1, *self._observation(G1, 1)), (G2, *self._observation(G2, 2))]
+        fresh = [self._fresh(*case) for case in cases]
+        anm._svd_of.cache_clear()
+        for k in (0, 1, 0):
+            assert self._solve(*cases[k]) == fresh[k]
+        info = anm._svd_of.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_changed_entry_misses_the_cache(self):
+        G = build_code_schedule(12, 9, seed=3).codes
+        anm._svd_of.cache_clear()
+        self._solve(G, *self._observation(G, 3))
+        G[5, 4] = -G[5, 4]  # same array and shape, new contents
+        z, budget = self._observation(G, 3)
+        got = self._solve(G, z, budget)
+        assert anm._svd_of.cache_info().misses == 2
+        assert got == self._fresh(G.copy(), z, budget)
+
+    def test_factors_are_read_only_and_factor_the_matrix(self):
+        G = build_code_schedule(12, 9, seed=4).codes
+        U, s, Vh, V = anm._code_svd(G)
+        for a in (U, s, Vh, V):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        np.testing.assert_allclose(U[:, :9] @ (s[:, None] * Vh), G, atol=1e-12)
+        assert np.array_equal(V, Vh.conj().T)
+
+
 class TestSolverConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risdoa.baselines import (
     AngleGrid,
@@ -137,6 +138,86 @@ class TestOmp:
         snap = clean_snapshot(SourceSet([40.0], [10.0], [1.0 + 0j]))
         with pytest.raises(DegenerateInputError):
             omp_estimate(snap.samples, d, 2)
+
+
+def _reference_spectrum(z, d):
+    corr = d.matrix.conj().T @ z
+    return (np.abs(corr) ** 2 / np.maximum(d.norms**2, 1e-300)).reshape(d.grid.shape)
+
+
+def _reference_omp(z, d, count):
+    """OMP from the raw responses, normalizing and conjugating on every pick."""
+    matrix = d.matrix
+    residual = z.copy()
+    chosen = []
+    for step in range(count):
+        unit = matrix / np.maximum(d.norms, 1e-300)
+        scores = np.abs(unit.conj().T @ residual)
+        scores[chosen] = -1.0
+        chosen.append(int(np.argmax(scores)))
+        selected = matrix[:, chosen]
+        coef, _, rank, _ = np.linalg.lstsq(selected, z, rcond=None)
+        if rank < len(chosen):
+            raise DegenerateInputError(f"rank deficient after {step + 1} picks")
+        residual = z - selected @ coef
+    rows, cols = np.unravel_index(chosen, d.grid.shape)
+    els = d.grid.elevations_deg[rows]
+    order = np.argsort(els)
+    return els[order], d.grid.azimuths_deg[cols][order]
+
+
+class TestCachedDictionary:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        samples=st.integers(2, 40),
+        el_start=st.floats(5.0, 80.0),
+        az_start=st.floats(-60.0, 30.0),
+        span=st.floats(0.0, 40.0),
+        step=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
+        count=st.integers(1, 3),
+    )
+    def test_spectrum_and_omp_match_the_raw_responses(
+        self, seed, rows, cols, samples, el_start, az_start, span, step, count
+    ):
+        rng = np.random.default_rng(seed)
+        geom = RisGeometry(rows, cols)
+        schedule = build_code_schedule(samples, geom.n_elements, seed=seed)
+        grid = AngleGrid.from_ranges((el_start, el_start + span), (az_start, az_start + span), step)
+        d = build_dictionary(geom, schedule, grid)
+        z = rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
+        assert np.array_equal(grid_spectrum(z, d), _reference_spectrum(z, d))
+        try:
+            expected = _reference_omp(z, d, count)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                omp_estimate(z, d, count)
+            return
+        got = omp_estimate(z, d, count)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    def test_peak_frequencies_are_the_scaled_spatial_frequencies(self):
+        grid = AngleGrid.from_ranges(step_deg=3.0)
+        d = build_dictionary(GEOM, SCHEDULE, grid)
+        el = np.deg2rad(grid.elevations_deg)[:, None]
+        az = np.deg2rad(grid.azimuths_deg)[None, :]
+        np.testing.assert_allclose(d.peak_row, GEOM.row_spacing * np.cos(el) * np.ones_like(az))
+        np.testing.assert_allclose(d.peak_col, GEOM.col_spacing * np.sin(el) * np.sin(az))
+
+    def test_cached_arrays_are_read_only_and_matrix_is_a_copy(self):
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=5.0))
+        for name in ("conjugate", "unit_conjugate", "norms", "peak_row", "peak_col"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[...] = 0
+        matrix = d.matrix
+        np.testing.assert_allclose(np.linalg.norm(matrix, axis=0), d.norms)
+        matrix[...] = 0
+        assert np.all(d.conjugate != 0)
+        # the dictionary keeps two (samples, grid points) arrays, not three
+        held = [v for v in vars(d).values() if isinstance(v, np.ndarray) and v.shape == matrix.shape]
+        assert len(held) == 2
 
 
 class TestBound:

@@ -4,6 +4,8 @@ The tiny scenario here (3x3 surface, 16 samples, one source) keeps solver
 work negligible while still driving every command path.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,25 @@ class TestBench:
         assert serial.estimates.read_bytes() == parallel.estimates.read_bytes()
         assert serial.summary.read_bytes() == parallel.summary.read_bytes()
 
+    def test_run_builds_its_invariants_once(self, tmp_path, monkeypatch):
+        from risdoa import harness
+
+        schedules = []
+        original = ScenarioConfig.schedule
+        monkeypatch.setattr(
+            ScenarioConfig, "schedule", lambda self: schedules.append(1) or original(self)
+        )
+        plan = PlanConfig(methods=("fft", "crb"), snr_list=(10.0, 20.0), trials=3, seed=17)
+        run_bench(tiny_scenario(), plan, tmp_path / "grid")
+        assert len(schedules) == 1
+
+        def no_dictionary(*args):
+            raise AssertionError("a plan without grid methods built a dictionary")
+
+        monkeypatch.setattr(harness, "build_dictionary", no_dictionary)
+        plan = PlanConfig(methods=("crb",), snr_list=(20.0,), trials=2, seed=17)
+        assert run_bench(tiny_scenario(), plan, tmp_path / "bound").summary.exists()
+
     def test_model_methods_need_model(self, tmp_path):
         plan = PlanConfig(methods=("dnn-danm",), snr_list=(20.0,), trials=1)
         with pytest.raises(ConfigError, match="model"):
@@ -192,6 +213,18 @@ class TestBench:
             ]
         )
         assert code == 2
+
+    def test_truncated_model_exits_with_an_error(self, tiny_config, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((Path(__file__).parent / "golden" / "model.bin").read_bytes()[:40])
+        code = main(
+            [
+                "bench", "--config", str(tiny_config), "--out", str(tmp_path / "out"),
+                "--methods", "fft-denoise", "--model", str(cut),
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_model_backed_methods_run(self, tmp_path):
         # impairments off makes the reconstruction target the identity map,

@@ -182,6 +182,42 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SourceSpec(count=2, elevations=(40.0,), azimuths=(0.0,))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_plan_needs_a_trial(self, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            PlanConfig(trials=trials)
+
+    def test_plan_needs_a_worker(self):
+        with pytest.raises(ConfigError, match="workers"):
+            PlanConfig(workers=0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+    def test_plan_grid_step_positive(self, step):
+        with pytest.raises(ConfigError, match="grid step"):
+            PlanConfig(grid_step_deg=step)
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_plan_snr_is_a_level(self, snr):
+        with pytest.raises(ConfigError, match="SNR"):
+            PlanConfig(snr_list=(10.0, snr))
+
+    def test_plan_infinite_snr_means_no_noise(self):
+        assert PlanConfig(snr_list=(math.inf,)).snr_list == (math.inf,)
+
+    @pytest.mark.parametrize(
+        "field", [{"solver_tolerance": 0.0}, {"solver_tolerance": math.nan},
+                  {"solver_max_iterations": 0}]
+    )
+    def test_plan_solver_limits_positive(self, field):
+        with pytest.raises(ConfigError, match="solver"):
+            PlanConfig(**field)
+
+    def test_plan_file_is_validated(self, tmp_path):
+        path = tmp_path / "plan.ini"
+        path.write_text("[bench]\ntrials = 0\n")
+        with pytest.raises(ConfigError, match="trials"):
+            load_plan(path)
+
 
 class TestDraws:
     def test_schedule_is_deterministic(self):

@@ -141,6 +141,22 @@ class TestPairing:
         X = _rank_one_X(self.GEOM, [(0.4, 0.1)], [2.0])
         assert pair_frequencies([0.4], [0.1], X, self.GEOM) == [(0, 0)]
 
+    def test_estimate_scores_each_pairing_once(self, monkeypatch):
+        from risdoa import extraction
+
+        calls = []
+        original = extraction.pairing_scores
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(extraction, "pairing_scores", counted)
+        X = _rank_one_X(self.GEOM, [(0.7, -0.3), (-0.2, 0.5)], [1.0, 0.8])
+        est = extraction._assemble_estimate([0.7, -0.2], [-0.3, 0.5], X, self.GEOM)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(est.score_matrix, original(*calls[0]))
+
     def test_scores_peak_on_truth(self):
         X = _rank_one_X(self.GEOM, [(0.6, -0.4)], [1.0])
         S = pairing_scores([0.6, -0.5], [-0.4, 0.3], X, self.GEOM)

@@ -183,6 +183,52 @@ class TestImpairments:
         with pytest.raises(ValueError):
             ImpairmentModel(np.ones(2), np.zeros(2), 2.0 * np.eye(2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        neighbors=st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda d: d != (0, 0)),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_the_element_loop_draw_for_draw(self, rows, cols, neighbors, seed):
+        # duplicate offsets draw twice and the later draw lands
+        geom = RisGeometry(rows, cols)
+        got = sample_impairments(geom, coupling_neighbors=tuple(neighbors), seed=seed)
+        ref = _reference_impairments(geom, neighbors, seed)
+        assert got.mismatch_amp.tobytes() == ref.mismatch_amp.tobytes()
+        assert got.mismatch_phase.tobytes() == ref.mismatch_phase.tobytes()
+        assert got.coupling.tobytes() == ref.coupling.tobytes()
+
+    def test_default_neighbors_match_the_element_loop(self):
+        geom = RisGeometry(8, 8)
+        for seed in range(50):
+            got = sample_impairments(geom, seed=seed)
+            ref = _reference_impairments(geom, ((0, 1), (1, 0), (1, 1)), seed)
+            assert got.coupling.tobytes() == ref.coupling.tobytes()
+
+
+def _reference_impairments(geom, neighbors, seed, coupling_amp_range=(0.1, 0.4)):
+    """Element-by-element draw that defines the seeded impairment stream."""
+    rng = np.random.default_rng(seed)
+    n = geom.n_elements
+    amp = rng.uniform(0.5, 1.5, size=n)
+    phase = rng.uniform(-math.pi / 6, math.pi / 6, size=n)
+    coupling = np.eye(n, dtype=complex)
+    for m in range(geom.rows):
+        for c in range(geom.cols):
+            i = m * geom.cols + c
+            for dm, dc in neighbors:
+                mm, cc = m + dm, c + dc
+                if 0 <= mm < geom.rows and 0 <= cc < geom.cols:
+                    j = mm * geom.cols + cc
+                    mag = rng.uniform(*coupling_amp_range)
+                    ang = rng.uniform(0.0, 2.0 * math.pi)
+                    coupling[i, j] = mag * np.exp(1j * ang)
+    return ImpairmentModel(mismatch_amp=amp, mismatch_phase=phase, coupling=coupling)
+
 
 class TestSynthesis:
     def _scene(self):

@@ -3,9 +3,11 @@ computed by central differences, scalar Adam recursions, and the on-disk
 format round trip."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risdoa.config import ImpairmentSpec, ScenarioConfig, SourceSpec, TrainSettings
 from risdoa.errors import ConfigError
@@ -395,3 +397,61 @@ class TestSerialization:
         loaded, _ = load_model(path)
         z = np.array([1 + 1j, 2 - 1j], dtype=complex)
         np.testing.assert_array_equal(reconstruct(params, z), reconstruct(loaded, z))
+
+
+GOLDEN_MODEL = (Path(__file__).parent / "golden" / "model.bin").read_bytes()
+
+
+class TestCorruptModelFiles:
+    @pytest.mark.parametrize("length", [0, 10, 40, len(GOLDEN_MODEL) // 2, len(GOLDEN_MODEL) - 1])
+    def test_truncated_file_names_the_file(self, tmp_path, length):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(GOLDEN_MODEL[:length])
+        with pytest.raises(ConfigError, match="cut.bin"):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(GOLDEN_MODEL + b"\0")
+        with pytest.raises(ConfigError, match="long.bin"):
+            load_model(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="absent.bin"):
+            load_model(tmp_path / "absent.bin")
+
+    def test_layer_shapes_must_chain(self, tmp_path):
+        params = init_mlp([2, 3, 3, 3, 3, 2], seed=1)
+        path = tmp_path / "model.bin"
+        save_model(params, path)
+        blob = bytearray(path.read_bytes())
+        blob[12 + 8 + 4] = 4  # second layer's input width 3 -> 4
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="chain"):
+            load_model(path)
+
+    # every example rewrites the same file, so sharing tmp_path is safe
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        length=st.integers(0, len(GOLDEN_MODEL)),
+        flips=st.lists(
+            st.tuples(st.integers(0, len(GOLDEN_MODEL) - 1), st.integers(1, 255)), max_size=4
+        ),
+    )
+    def test_damaged_golden_model_loads_or_raises_config_error(self, tmp_path, length, flips):
+        blob = bytearray(GOLDEN_MODEL)
+        for offset, mask in flips:
+            blob[offset] ^= mask
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(bytes(blob[:length]))
+        try:
+            params, meta = load_model(path)
+        except ConfigError as err:
+            assert "damaged.bin" in str(err)
+            return
+        sizes = params.layer_sizes
+        assert params.feature_scale.size == sizes[0]
+        assert [b.size for b in params.biases] == sizes[1:]
+        assert isinstance(meta, dict)
