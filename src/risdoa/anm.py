@@ -492,6 +492,13 @@ def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
 # solvers
 
 
+def _require_finite(**inputs) -> None:
+    """Reject solver input holding NaN or inf, naming the argument."""
+    for name, value in inputs.items():
+        if value is not None and not np.isfinite(value).all():
+            raise DegenerateInputError(f"{name} contains NaN or inf")
+
+
 def solve_danm(
     z: np.ndarray,
     G: np.ndarray,
@@ -504,6 +511,7 @@ def solve_danm(
     noise_power is the squared-norm budget of the residual ball (total
     expected noise energy over the snapshot, i.e. samples x per-sample
     variance); it also sizes the default trace weight in regularized mode.
+    A NaN or inf in z, G or noise_power raises DegenerateInputError.
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
@@ -511,6 +519,7 @@ def solve_danm(
     G = np.asarray(G, dtype=complex)
     if G.shape != (z.size, M * N):
         raise ValueError(f"code matrix must be {z.size}x{M * N}, got {G.shape}")
+    _require_finite(z=z, G=G, noise_power=noise_power)
     if config.mode == "noise-ball":
         if noise_power is None:
             raise ConfigError("noise-ball mode requires noise_power")
@@ -572,6 +581,7 @@ def solve_full_anm(
     Pass either x (the response itself; computes its atomic decomposition
     value) or the observation pair (z, G) for denoising in the configured
     mode. The PSD block has side MN + 1, so the size cap guards runtime.
+    A NaN or inf in x, z, G or noise_power raises DegenerateInputError.
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
@@ -585,6 +595,7 @@ def solve_full_anm(
         x_fixed = np.asarray(x, dtype=complex).reshape(-1)
         if x_fixed.size != mn:
             raise ValueError(f"x must have {mn} entries")
+        _require_finite(x=x_fixed)
         data = None
         trace_weight = 1.0
         mode = "atomic"
@@ -593,6 +604,7 @@ def solve_full_anm(
         G = np.asarray(G, dtype=complex)
         if G.shape != (z.size, mn):
             raise ValueError(f"code matrix must be {z.size}x{mn}, got {G.shape}")
+        _require_finite(z=z, G=G, noise_power=noise_power)
         if config.mode == "noise-ball":
             if noise_power is None:
                 raise ConfigError("noise-ball mode requires noise_power")

@@ -11,6 +11,7 @@ import configparser
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -113,6 +114,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrainSettings:
+    """One training run: dataset, schedule of Adam steps and network widths."""
+
     dataset_size: int = 2000
     epochs: int = 1000
     batch_size: int = 64
@@ -120,6 +123,41 @@ class TrainSettings:
     hidden_widths: tuple | None = None
     snr_range: tuple = (20.0, 50.0)
     seed: int = 77
+
+    def __post_init__(self):
+        for name in ("dataset_size", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not (_is_real(self.learning_rate) and 0.0 < self.learning_rate < math.inf):
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate!r}"
+            )
+        # the network depth is fixed at five affine layers
+        widths = self.hidden_widths
+        if widths is not None and not (
+            _is_sequence(widths, 4) and all(_is_count(w) and w >= 1 for w in widths)
+        ):
+            raise ConfigError(f"hidden widths must be four positive integers, got {widths!r}")
+        snr = self.snr_range
+        if not (
+            _is_sequence(snr, 2)
+            and all(_is_real(v) and math.isfinite(v) for v in snr)
+            and snr[0] <= snr[1]
+        ):
+            raise ConfigError(f"SNR range must be two finite values lo <= hi, got {snr!r}")
+
+
+def _is_sequence(value, length: int) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == length
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

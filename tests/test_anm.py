@@ -461,6 +461,49 @@ class TestDecoupledSolver:
         assert err.value.primal_residual > 0
 
 
+_REAL_NON_FINITE = [math.nan, math.inf, -math.inf]
+_NON_FINITE_INPUTS = [
+    (name, bad)
+    for name in ("z", "G", "noise_power")
+    for bad in _REAL_NON_FINITE + ([] if name == "noise_power" else [complex(0.0, math.nan)])
+]
+
+
+class TestNonFiniteInput:
+    """NaN or inf input is rejected up front, naming the argument."""
+
+    def _inputs(self, name, bad):
+        G = build_code_schedule(6, 4, seed=12).codes.astype(complex)
+        z = G @ steering_vector(RisGeometry(2, 2), 60.0, 10.0)
+        inputs = {"z": z, "G": G, "noise_power": 0.1}
+        if name == "noise_power":
+            inputs[name] = bad
+        else:
+            inputs[name].flat[1] = bad
+        return inputs
+
+    @pytest.mark.parametrize("mode", ["noise-ball", "regularized"])
+    @pytest.mark.parametrize("name,bad", _NON_FINITE_INPUTS)
+    def test_decoupled(self, mode, name, bad):
+        inputs = self._inputs(name, bad)
+        with pytest.raises(DegenerateInputError, match=f"^{name} "):
+            solve_danm(geom=RisGeometry(2, 2), config=SolverConfig(mode=mode), **inputs)
+
+    @pytest.mark.parametrize("mode", ["noise-ball", "regularized"])
+    @pytest.mark.parametrize("name,bad", _NON_FINITE_INPUTS)
+    def test_full_denoise(self, mode, name, bad):
+        inputs = self._inputs(name, bad)
+        with pytest.raises(DegenerateInputError, match=f"^{name} "):
+            solve_full_anm(RisGeometry(2, 2), SolverConfig(mode=mode), **inputs)
+
+    @pytest.mark.parametrize("bad", _REAL_NON_FINITE + [complex(0.0, math.nan)])
+    def test_full_atomic(self, bad):
+        x = np.ones(4, dtype=complex)
+        x[2] = bad
+        with pytest.raises(DegenerateInputError, match="^x "):
+            solve_full_anm(RisGeometry(2, 2), x=x)
+
+
 class TestFullSolver:
     def test_zero_target(self):
         geom = RisGeometry(2, 3)

@@ -115,6 +115,14 @@ class TestTrain:
         _, meta = load_model(second / "model.bin")
         assert meta["epochs"] == 6
 
+    def test_invalid_settings_exit_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "zero_batch.ini"
+        config.write_text(TINY_INI.replace("batch_size = 8", "batch_size = 0"))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.bin").exists()
+
     def test_cli_overrides(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         main(["train", "--config", str(tiny_config), "--out", str(out), "--epochs", "2"])
@@ -190,6 +198,43 @@ class TestBench:
         monkeypatch.setattr(harness, "build_dictionary", no_dictionary)
         plan = PlanConfig(methods=("crb",), snr_list=(20.0,), trials=2, seed=17)
         assert run_bench(tiny_scenario(), plan, tmp_path / "bound").summary.exists()
+
+    def test_repeated_runs_reuse_the_dictionary(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from risdoa import harness
+
+        builds = []
+        original = harness.build_dictionary
+        monkeypatch.setattr(
+            harness, "build_dictionary", lambda *a: builds.append(1) or original(*a)
+        )
+        monkeypatch.setattr(harness, "_CTX", {})
+        plan = PlanConfig(methods=("fft", "omp", "crb"), snr_list=(20.0,), trials=2, seed=17)
+        a = run_bench(tiny_scenario(), plan, tmp_path / "a")
+        b = run_bench(tiny_scenario(), dataclasses.replace(plan, seed=18), tmp_path / "b")
+        c = run_bench(tiny_scenario(), plan, tmp_path / "c")
+        assert len(builds) == 1
+        assert a.estimates.read_bytes() == c.estimates.read_bytes()
+        assert a.summary.read_bytes() == c.summary.read_bytes()
+        assert a.estimates.read_bytes() != b.estimates.read_bytes()
+
+        other_schedule = dataclasses.replace(tiny_scenario(), seed=71)
+        run_bench(other_schedule, plan, tmp_path / "d")
+        assert len(builds) == 2
+        run_bench(other_schedule, dataclasses.replace(plan, grid_step_deg=2.0), tmp_path / "e")
+        assert len(builds) == 3
+
+        # a fresh build after a different key gives the bytes of the first run
+        fresh = run_bench(tiny_scenario(), plan, tmp_path / "f")
+        assert len(builds) == 4
+        assert fresh.estimates.read_bytes() == a.estimates.read_bytes()
+        wide = dataclasses.replace(
+            tiny_scenario(), sources=SourceSpec(count=1, min_separation_deg=0.0,
+                                                elevation_range=(10.0, 80.0))
+        )
+        run_bench(wide, plan, tmp_path / "g")
+        assert len(builds) == 5
 
     def test_model_methods_need_model(self, tmp_path):
         plan = PlanConfig(methods=("dnn-danm",), snr_list=(20.0,), trials=1)

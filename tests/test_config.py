@@ -11,6 +11,7 @@ from risdoa.config import (
     PlanConfig,
     ScenarioConfig,
     SourceSpec,
+    TrainSettings,
     desk_scenario,
     load_plan,
     load_scenario,
@@ -211,6 +212,45 @@ class TestValidation:
     def test_plan_solver_limits_positive(self, field):
         with pytest.raises(ConfigError, match="solver"):
             PlanConfig(**field)
+
+    @pytest.mark.parametrize("field", ["dataset_size", "epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5])
+    def test_train_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainSettings(**{field: value})
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf, "0.1"])
+    def test_train_learning_rate_positive_and_finite(self, rate):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainSettings(learning_rate=rate)
+
+    @pytest.mark.parametrize(
+        "widths", [(), (8, 8), (8, 8, 8, 8, 8), (8, 8, 0, 8), (8, -1, 8, 8), (8, 8.0, 8, 8), 8]
+    )
+    def test_train_hidden_widths_are_four_positive_ints(self, widths):
+        with pytest.raises(ConfigError, match="hidden widths"):
+            TrainSettings(hidden_widths=widths)
+
+    @pytest.mark.parametrize(
+        "snr",
+        [(20.0,), (20.0, 30.0, 40.0), (30.0, 20.0), (math.nan, 20.0), (20.0, math.inf), "ab"],
+    )
+    def test_train_snr_range_is_an_ordered_finite_pair(self, snr):
+        with pytest.raises(ConfigError, match="SNR range"):
+            TrainSettings(snr_range=snr)
+
+    def test_train_settings_accept_valid_values(self):
+        s = TrainSettings(
+            dataset_size=1, epochs=1, batch_size=1, learning_rate=1,
+            hidden_widths=[1, 2, 3, np.int64(4)], snr_range=(5, 5.0),
+        )
+        assert s.hidden_widths == [1, 2, 3, 4]
+
+    def test_train_file_is_validated(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[train]\nbatch_size = 0\n")
+        with pytest.raises(ConfigError, match="batch_size"):
+            load_train_settings(path)
 
     def test_plan_file_is_validated(self, tmp_path):
         path = tmp_path / "plan.ini"

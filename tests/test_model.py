@@ -114,6 +114,80 @@ class TestSteering:
         np.testing.assert_allclose(A[:, 1], steering_vector(GEOM22, 70.0, 25.0))
 
 
+def _reference_steering_matrix(geom, sources):
+    """Kronecker product of the axis responses, one source at a time."""
+    columns = []
+    for el, az in zip(sources.elevations_deg, sources.azimuths_deg):
+        f_row, f_col = angle_frequencies(el, az)
+        columns.append(
+            np.kron(
+                axis_atom(f_row, geom.rows, geom.row_spacing),
+                axis_atom(f_col, geom.cols, geom.col_spacing),
+            )
+        )
+    return np.column_stack(columns)
+
+
+_geometries = st.builds(
+    RisGeometry,
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    row_spacing=st.floats(0.05, 0.5),
+    col_spacing=st.floats(0.05, 0.5),
+)
+
+
+def _any_sources(count, seed):
+    return sample_sources(count, (0.0, 180.0), (-90.0, 90.0), seed=seed)
+
+
+_EDGE = 1e-8 + 1e-5 * abs(1.0)  # np.allclose's default tolerance at 1.0
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_diagonal_entries = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.builds(
+        complex,
+        st.floats(1.0 - 3 * _EDGE, 1.0 + 3 * _EDGE) | _NON_FINITE,
+        st.floats(-3 * _EDGE, 3 * _EDGE) | _NON_FINITE,
+    ),
+    st.sampled_from([1.0, 1.0 + _EDGE, 1.0 - _EDGE, 1.0 + 1j * _EDGE, complex(1.0, -_EDGE)]),
+)
+
+
+def _accepts_diagonal(diagonal) -> bool:
+    n = len(diagonal)
+    coupling = np.full((n, n), 0.25 + 0.5j)
+    coupling[np.diag_indices(n)] = diagonal
+    try:
+        ImpairmentModel(np.ones(n), np.zeros(n), coupling)
+    except ValueError:
+        return False
+    return True
+
+
+class TestSteeringMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(geom=_geometries, count=st.integers(1, 4), seed=st.integers(0, 2**63 - 1))
+    def test_matches_kron_of_axis_atoms_bit_for_bit(self, geom, count, seed):
+        sources = _any_sources(count, seed)
+        got = steering_matrix(geom, sources)
+        ref = _reference_steering_matrix(geom, sources)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_edge_angles_match_bit_for_bit(self):
+        geom = RisGeometry(5, 7, 0.45, 0.3)
+        sources = SourceSet([0.0, 180.0, 90.0, 45.0], [-90.0, 90.0, 0.0, -0.0], np.ones(4))
+        got = steering_matrix(geom, sources)
+        assert got.tobytes() == _reference_steering_matrix(geom, sources).tobytes()
+
+    def test_angles_edited_after_construction_are_rejected(self):
+        sources = SourceSet([40.0], [10.0], [1.0])
+        sources.elevations_deg[0] = 190.0
+        with pytest.raises(ValueError, match="elevation"):
+            steering_matrix(GEOM22, sources)
+
+
 class TestCodes:
     def test_bit_to_sign_map(self):
         sched = CodeSchedule(bits=np.array([[0, 1], [1, 0]], dtype=np.uint8))
@@ -129,6 +203,15 @@ class TestCodes:
         a = build_code_schedule(32, 16, seed=1)
         b = build_code_schedule(32, 16, seed=2)
         assert not np.array_equal(a.bits, b.bits)
+
+    def test_cached_views_are_read_only_and_leave_the_caller_array_alone(self):
+        bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        sched = CodeSchedule(bits=bits)
+        assert bits.flags.writeable
+        for cached in (sched.bits, sched.ideal_codes, sched.reflects):
+            assert not cached.flags.writeable
+        assert sched.ideal_codes.tobytes() == sched.codes.astype(complex).tobytes()
+        np.testing.assert_array_equal(sched.reflects, bits == 0)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -183,6 +266,30 @@ class TestImpairments:
         with pytest.raises(ValueError):
             ImpairmentModel(np.ones(2), np.zeros(2), 2.0 * np.eye(2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal=st.lists(_diagonal_entries, min_size=1, max_size=9))
+    def test_diagonal_check_decides_as_allclose(self, diagonal):
+        assert _accepts_diagonal(diagonal) == bool(np.allclose(np.array(diagonal), 1.0))
+
+    def test_diagonal_check_at_the_tolerance_edge(self):
+        for delta in (_EDGE, -_EDGE, 1j * _EDGE, -1j * _EDGE):
+            for value in (1.0 + delta, 1.0 + delta * (1 - 1e-15), 1.0 + delta * (1 + 1e-15)):
+                assert _accepts_diagonal([value]) == bool(np.allclose(np.array([value]), 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        geom=_geometries,
+        samples=st.integers(1, 40),
+        code_seed=st.integers(0, 2**63 - 1),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_effective_codes_match_the_bit_test(self, geom, samples, code_seed, seed):
+        sched = build_code_schedule(samples, geom.n_elements, code_seed)
+        imp = sample_impairments(geom, seed=seed)
+        mismatched = -imp.mismatch_amp * np.exp(1j * imp.mismatch_phase)
+        ref = np.where(sched.bits == 0, 1.0 + 0.0j, mismatched[None, :])
+        assert imp.effective_codes(sched).tobytes() == ref.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.integers(1, 9),
@@ -236,6 +343,23 @@ class TestSynthesis:
         sched = build_code_schedule(10, 9, seed=21)
         src = SourceSet([40.0, 70.0], [-20.0, 25.0], [1.0 + 0.5j, -0.7 + 0.2j])
         return geom, sched, src
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        geom=_geometries,
+        count=st.integers(1, 4),
+        samples=st.integers(1, 40),
+        snr_db=st.floats(-30.0, 60.0) | st.just(math.inf),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_ideal_is_the_identity_model_bit_for_bit(self, geom, count, samples, snr_db, seed):
+        sources = _any_sources(count, seed)
+        sched = build_code_schedule(samples, geom.n_elements, seed)
+        got = synthesize_ideal(geom, sched, sources, snr_db, seed)
+        identity = ImpairmentModel.identity(geom.n_elements)
+        ref = synthesize_impaired(geom, sched, identity, sources, snr_db, seed)
+        assert got.samples.tobytes() == ref.samples.tobytes()
+        assert got.noise_power == ref.noise_power and got.seed == ref.seed
 
     def test_identity_impairments_reduce_to_ideal_bitwise(self):
         geom, sched, src = self._scene()
@@ -303,7 +427,34 @@ class TestSynthesis:
             synthesize_ideal(geom, bad, src, snr_db=np.inf, seed=0)
 
 
+def _reference_sources(count, elevation_range, azimuth_range, min_separation_deg, seed):
+    """The rejection draw of sample_sources with its pair indices built per try."""
+    rng = np.random.default_rng(seed)
+    while True:
+        el = rng.uniform(*elevation_range, size=count)
+        az = rng.uniform(*azimuth_range, size=count)
+        if count > 1 and min_separation_deg > 0.0:
+            d = np.hypot(el[:, None] - el[None, :], az[:, None] - az[None, :])
+            if np.min(d[np.triu_indices(count, k=1)]) < min_separation_deg:
+                continue
+        amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
+        return el, az, amps
+
+
 class TestSourceDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        count=st.integers(1, 4),
+        separation=st.sampled_from([0.0, 5.0, 20.0]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_the_rejection_loop(self, count, separation, seed):
+        got = sample_sources(count, (20.0, 80.0), (-30.0, 30.0), separation, seed=seed)
+        el, az, amps = _reference_sources(count, (20.0, 80.0), (-30.0, 30.0), separation, seed)
+        assert got.elevations_deg.tobytes() == el.tobytes()
+        assert got.azimuths_deg.tobytes() == az.tobytes()
+        assert got.amplitudes.tobytes() == amps.tobytes()
+
     def test_ranges_and_separation(self):
         src = sample_sources(3, (20.0, 80.0), (-30.0, 30.0), min_separation_deg=15.0, seed=8)
         assert np.all((src.elevations_deg >= 20) & (src.elevations_deg <= 80))

@@ -180,7 +180,79 @@ def _scalar_grads(g_w, g_b=0.0):
     return Gradients(weights=[np.array([[g_w]])], biases=[np.array([g_b])])
 
 
+def _reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array Adam update: one moment pair per weight and bias array."""
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    for step, grads in enumerate(grad_steps, start=1):
+        c1 = 1.0 - b1**step
+        c2 = 1.0 - b2**step
+
+        def update(value, grad, m, v):
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            return value - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        weights = [update(*a) for a in zip(weights, grads.weights, m_w, v_w)]
+        biases = [update(*a) for a in zip(biases, grads.biases, m_b, v_b)]
+    return weights, biases
+
+
 class TestAdam:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=2, max_size=6),
+        steps=st.integers(1, 6),
+        lr=st.floats(1e-6, 1.0),
+        scale_exp=st.integers(-12, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_update_matches_the_per_array_update(self, sizes, steps, lr, scale_exp, seed):
+        rng = np.random.default_rng(seed)
+        params = init_mlp(sizes, seed=seed)
+        before = [a.copy() for a in params.weights + params.biases]
+
+        def draw(a):  # gradients of one magnitude, about a fifth of them exactly zero
+            return rng.standard_normal(a.shape) * 10.0**scale_exp * (rng.random(a.shape) < 0.8)
+
+        grad_steps = [
+            Gradients(
+                weights=[draw(w) for w in params.weights],
+                biases=[draw(b) for b in params.biases],
+            )
+            for _ in range(steps)
+        ]
+        ref_w, ref_b = _reference_adam(params, grad_steps, lr)
+        state = adam_init(params, learning_rate=lr)
+        out = params
+        for grads in grad_steps:
+            out = adam_step(state, out, grads)
+        for got, ref in zip(out.weights + out.biases, ref_w + ref_b):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        # the caller's parameters are left as they were
+        for a, b in zip(params.weights + params.biases, before):
+            assert a.tobytes() == b.tobytes()
+        assert out.feature_scale is params.feature_scale and state.step == steps
+
+    def test_step_returns_views_of_one_flat_vector(self):
+        params = init_mlp([3, 4, 2], seed=1)
+        state = adam_init(params)
+        grads = Gradients(
+            weights=[np.ones_like(w) for w in params.weights],
+            biases=[np.ones_like(b) for b in params.biases],
+        )
+        out = adam_step(state, params, grads)
+        base = out.weights[0].base
+        assert base is not None and base.shape == (3 * 4 + 4 * 2 + 4 + 2,)
+        assert all(a.base is base for a in out.weights + out.biases)
+        assert state.m.shape == state.v.shape == base.shape
+
     def test_one_step_matches_scalar_recursion(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         g = 0.5
