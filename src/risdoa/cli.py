@@ -15,8 +15,9 @@ from .config import (
     load_scenario,
     load_train_settings,
     large_scenario,
+    override,
 )
-from .errors import ConfigError, RisDoaError
+from .errors import RisDoaError
 from .harness import METHOD_NAMES, run_bench, run_compare, run_simulate, run_train
 
 
@@ -89,22 +90,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# command-line flag -> the field it replaces; values are cast like a config file's
+_TRAIN_FLAGS = dict(epochs="epochs", dataset_size="dataset_size", batch_size="batch_size",
+                    learning_rate="learning_rate", train_seed="seed")
+_BENCH_FLAGS = dict(methods="methods", snr="snr_list", trials="trials", workers="workers",
+                    bench_seed="seed")
+
+
+def _with_flags(base, args, flags: dict):
+    given = ((field, getattr(args, flag)) for flag, field in flags.items())
+    return override(base, {field: v for field, v in given if v is not None}, "options")
+
+
 def _cmd_train(args) -> int:
     scenario = _resolve_scenario(args)
     settings = load_train_settings(args.config) if args.config else TrainSettings()
-    updates = {}
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.dataset_size is not None:
-        updates["dataset_size"] = args.dataset_size
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        updates["learning_rate"] = args.learning_rate
-    if args.train_seed is not None:
-        updates["seed"] = args.train_seed
-    if updates:
-        settings = dataclasses.replace(settings, **updates)
+    settings = _with_flags(settings, args, _TRAIN_FLAGS)
     model_path, loss_path = run_train(scenario, settings, args.out, resume=args.resume)
     print(f"wrote {model_path}")
     print(f"wrote {loss_path}")
@@ -114,22 +115,7 @@ def _cmd_train(args) -> int:
 def _cmd_bench(args) -> int:
     scenario = _resolve_scenario(args)
     plan = load_plan(args.config) if args.config else PlanConfig()
-    updates = {}
-    if args.methods is not None:
-        updates["methods"] = tuple(args.methods.replace(",", " ").split())
-    if args.snr is not None:
-        try:
-            updates["snr_list"] = tuple(float(v) for v in args.snr.replace(",", " ").split())
-        except ValueError as err:
-            raise ConfigError(f"bad SNR list: {args.snr!r}") from err
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.bench_seed is not None:
-        updates["seed"] = args.bench_seed
-    if updates:
-        plan = dataclasses.replace(plan, **updates)
+    plan = _with_flags(plan, args, _BENCH_FLAGS)
     paths = run_bench(scenario, plan, args.out, model_path=args.model)
     for path in (paths.estimates, paths.trials, paths.summary, paths.timing):
         print(f"wrote {path}")

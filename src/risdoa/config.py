@@ -12,7 +12,9 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +46,17 @@ class SourceSpec:
     """How benchmark and dataset sources are drawn (or pinned)."""
 
     count: int = 2
-    elevation_range: tuple = (20.0, 80.0)
-    azimuth_range: tuple = (-30.0, 30.0)
+    elevation_range: tuple[float, float] = (20.0, 80.0)
+    azimuth_range: tuple[float, float] = (-30.0, 30.0)
     min_separation_deg: float = 15.0
-    elevations: tuple | None = None
-    azimuths: tuple | None = None
+    elevations: tuple[float, ...] | None = None
+    azimuths: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("source count must be positive")
+        for name in ("elevation_range", "azimuth_range"):
+            _check_range(name, getattr(self, name))
         if (self.elevations is None) != (self.azimuths is None):
             raise ConfigError("fixed elevations and azimuths must be given together")
         if self.elevations is not None and (
@@ -64,10 +68,10 @@ class SourceSpec:
 @dataclass(frozen=True)
 class ImpairmentSpec:
     enabled: bool = True
-    coupling_amp_range: tuple = (0.1, 0.4)
-    mismatch_amp_range: tuple = (0.5, 1.5)
-    mismatch_phase_range: tuple = (-math.pi / 6, math.pi / 6)
-    neighbors: tuple = ((0, 1), (1, 0), (1, 1))
+    coupling_amp_range: tuple[float, float] = (0.1, 0.4)
+    mismatch_amp_range: tuple[float, float] = (0.5, 1.5)
+    mismatch_phase_range: tuple[float, float] = (-math.pi / 6, math.pi / 6)
+    neighbors: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ class TrainSettings:
     epochs: int = 1000
     batch_size: int = 64
     learning_rate: float = 1e-4
-    hidden_widths: tuple | None = None
-    snr_range: tuple = (20.0, 50.0)
+    hidden_widths: tuple[int, ...] | None = None
+    snr_range: tuple[float, float] = (20.0, 50.0)
     seed: int = 77
 
     def __post_init__(self):
@@ -139,13 +143,16 @@ class TrainSettings:
             _is_sequence(widths, 4) and all(_is_count(w) and w >= 1 for w in widths)
         ):
             raise ConfigError(f"hidden widths must be four positive integers, got {widths!r}")
-        snr = self.snr_range
-        if not (
-            _is_sequence(snr, 2)
-            and all(_is_real(v) and math.isfinite(v) for v in snr)
-            and snr[0] <= snr[1]
-        ):
-            raise ConfigError(f"SNR range must be two finite values lo <= hi, got {snr!r}")
+        _check_range("SNR range", self.snr_range)
+
+
+def _check_range(label: str, value) -> None:
+    if not (
+        _is_sequence(value, 2)
+        and all(_is_real(v) and math.isfinite(v) for v in value)
+        and value[0] <= value[1]
+    ):
+        raise ConfigError(f"{label} must be two finite values lo <= hi, got {value!r}")
 
 
 def _is_sequence(value, length: int) -> bool:
@@ -164,8 +171,8 @@ def _is_count(value) -> bool:
 class PlanConfig:
     """One benchmark run: methods x SNR sweep x trials."""
 
-    methods: tuple = ("fft", "omp", "fft-denoise", "omp-denoise", "dnn-danm")
-    snr_list: tuple = (20.0,)
+    methods: tuple[str, ...] = ("fft", "omp", "fft-denoise", "omp-denoise", "dnn-danm")
+    snr_list: tuple[float, ...] = (20.0,)
     trials: int = 100
     seed: int = 4321
     workers: int = 1
@@ -210,201 +217,121 @@ def scenario_hash(scenario: ScenarioConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# file round-trip
+# file round-trip: one reader for INI and JSON, cast by the field annotations
+
+_SECTIONS = ("geometry", "sources", "impairments", "snapshot", "run", "train", "bench")
+# [snapshot] and [run] set ScenarioConfig's own fields; each other section is one dataclass
+_SCENARIO_KEYS = {"snapshot": ("num_samples", "snr_db"), "run": ("seed",)}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
-def _pair(text: str, cast=float) -> tuple:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"expected two values, got {text!r}")
-    return (cast(parts[0]), cast(parts[1]))
-
-
-def _num_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
-
-
-def _neighbor_list(text: str) -> tuple:
-    out = []
-    for token in text.split():
-        a, b = token.split(",")
-        out.append((int(a), int(b)))
-    return tuple(out)
-
-
-def _scenario_from_mapping(data: dict) -> ScenarioConfig:
+def _read_sections(path) -> dict:
+    """Read an INI-style or JSON file (told apart by content) as {section: {key: raw}}."""
+    path = Path(path)
     try:
-        geo = data.get("geometry", {})
-        geometry = RisGeometry(
-            rows=int(geo.get("rows", 8)),
-            cols=int(geo.get("cols", 8)),
-            row_spacing=float(geo.get("row_spacing", 0.4)),
-            col_spacing=float(geo.get("col_spacing", 0.4)),
-        )
-        src = data.get("sources", {})
-        sources = SourceSpec(
-            count=int(src.get("count", 2)),
-            elevation_range=tuple(src.get("elevation_range", (20.0, 80.0))),
-            azimuth_range=tuple(src.get("azimuth_range", (-30.0, 30.0))),
-            min_separation_deg=float(src.get("min_separation_deg", 15.0)),
-            elevations=tuple(src["elevations"]) if src.get("elevations") else None,
-            azimuths=tuple(src["azimuths"]) if src.get("azimuths") else None,
-        )
-        imp = data.get("impairments", {})
-        impairments = ImpairmentSpec(
-            enabled=bool(imp.get("enabled", True)),
-            coupling_amp_range=tuple(imp.get("coupling_amp_range", (0.1, 0.4))),
-            mismatch_amp_range=tuple(imp.get("mismatch_amp_range", (0.5, 1.5))),
-            mismatch_phase_range=tuple(
-                imp.get("mismatch_phase_range", (-math.pi / 6, math.pi / 6))
-            ),
-            neighbors=tuple(tuple(n) for n in imp.get("neighbors", ((0, 1), (1, 0), (1, 1)))),
-        )
-        snap = data.get("snapshot", {})
-        run = data.get("run", {})
-        return ScenarioConfig(
-            geometry=geometry,
-            sources=sources,
-            impairments=impairments,
-            num_samples=int(snap.get("num_samples", 64)),
-            snr_db=float(snap.get("snr_db", 20.0)),
-            seed=int(run.get("seed", 1234)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad scenario config: {err}") from err
+        text = path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    if text.lstrip().startswith("{"):
+        try:
+            sections = json.loads(text)
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"bad JSON config: {err}") from err
+    else:
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text)
+            # a non-empty [DEFAULT] is listed so that it is rejected as unknown below
+            names = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+            sections = {name: dict(parser[name]) for name in names}
+        except configparser.Error as err:
+            raise ConfigError(f"bad INI config: {err}") from err
+    for name, section in sections.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; the sections are {', '.join(_SECTIONS)}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"section [{name}] must map keys to values, got {section!r}")
+    return sections
 
 
-def _ini_to_mapping(parser: configparser.ConfigParser) -> dict:
-    data: dict = {}
-    if parser.has_section("geometry"):
-        data["geometry"] = dict(parser["geometry"])
-    if parser.has_section("sources"):
-        s = parser["sources"]
-        entry: dict = {}
-        if "count" in s:
-            entry["count"] = s["count"]
-        if "elevation_range" in s:
-            entry["elevation_range"] = _pair(s["elevation_range"])
-        if "azimuth_range" in s:
-            entry["azimuth_range"] = _pair(s["azimuth_range"])
-        if "min_separation_deg" in s:
-            entry["min_separation_deg"] = s["min_separation_deg"]
-        if "elevations" in s:
-            entry["elevations"] = _num_list(s["elevations"])
-        if "azimuths" in s:
-            entry["azimuths"] = _num_list(s["azimuths"])
-        data["sources"] = entry
-    if parser.has_section("impairments"):
-        s = parser["impairments"]
-        entry = {}
-        if "enabled" in s:
-            entry["enabled"] = s.getboolean("enabled")
-        for key in ("coupling_amp_range", "mismatch_amp_range", "mismatch_phase_range"):
-            if key in s:
-                entry[key] = _pair(s[key])
-        if "neighbors" in s:
-            entry["neighbors"] = _neighbor_list(s["neighbors"])
-        data["impairments"] = entry
-    if parser.has_section("snapshot"):
-        data["snapshot"] = dict(parser["snapshot"])
-    if parser.has_section("run"):
-        data["run"] = dict(parser["run"])
-    return data
+def _coerce(raw, hint):
+    """Cast one raw value, INI text or a JSON value, to the annotated type `hint`.
+
+    `T | None` reads an empty value as None. In text, a flat tuple splits on
+    commas or spaces, and a tuple of pairs on spaces, then commas ("0,1 1,0").
+    """
+    if isinstance(hint, types.UnionType):
+        if raw in (None, []) or (isinstance(raw, str) and not raw.strip()):
+            return None
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        items = raw
+        if isinstance(raw, str):
+            nested = typing.get_origin(args[0]) is tuple
+            items = raw.split() if nested else raw.replace(",", " ").split()
+        if not isinstance(items, list):
+            raise ConfigError(f"expected a list, got {raw!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(f"expected {len(args)} values, got {raw!r}")
+        return tuple(_coerce(item, arg) for item, arg in zip(items, args))
+    if hint is bool and isinstance(raw, (int, str)):
+        word = str(raw).strip().lower()
+        if word in _BOOLEANS:
+            return _BOOLEANS[word]
+    elif hint is str and isinstance(raw, str):
+        return raw
+    # from JSON, true is not a number and 2.5 is not an int (int() would truncate it)
+    elif hint in (int, float) and type(raw) in (str, int, hint):
+        try:
+            return hint(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"expected {hint.__name__}, got {raw!r}")
+
+
+def override(base, values: dict, where: str, keys=None):
+    """Return dataclass `base` with `values` (raw file or flag values by field name) set.
+
+    Each value is cast by its field's annotation; `keys` limits the fields
+    that may be set. `where` names the source in errors, as `where.key`.
+    """
+    hints = typing.get_type_hints(type(base))
+    cast = {}
+    for key, raw in values.items():
+        if key not in (keys or hints):
+            raise ConfigError(f"unknown key {where}.{key}; the keys are {', '.join(keys or hints)}")
+        try:
+            cast[key] = _coerce(raw, hints[key])
+        except ConfigError as err:
+            raise ConfigError(f"{where}.{key}: {err}") from None
+    try:
+        return replace(base, **cast)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Read a scenario from an INI-style or JSON file (detected by content)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            return _scenario_from_mapping(json.loads(text))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad JSON config: {err}") from err
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"bad INI config: {err}") from err
-    return _scenario_from_mapping(_ini_to_mapping(parser))
-
-
-def _section(parser_or_dict, name: str) -> dict:
-    if isinstance(parser_or_dict, dict):
-        return dict(parser_or_dict.get(name, {}))
-    if parser_or_dict.has_section(name):
-        return dict(parser_or_dict[name])
-    return {}
+    sections = _read_sections(path)
+    scenario = ScenarioConfig()
+    for name in ("geometry", "sources", "impairments"):
+        part = override(getattr(scenario, name), sections.get(name, {}), name)
+        scenario = replace(scenario, **{name: part})
+    for name, keys in _SCENARIO_KEYS.items():
+        scenario = override(scenario, sections.get(name, {}), name, keys)
+    return scenario
 
 
 def load_train_settings(path) -> TrainSettings:
-    """Read the [train] section (missing keys fall back to defaults)."""
-    data = _load_any(path)
-    s = _section(data, "train")
-    try:
-        return TrainSettings(
-            dataset_size=int(s.get("dataset_size", 2000)),
-            epochs=int(s.get("epochs", 1000)),
-            batch_size=int(s.get("batch_size", 64)),
-            learning_rate=float(s.get("learning_rate", 1e-4)),
-            hidden_widths=(
-                tuple(int(v) for v in str(s["hidden_widths"]).replace(",", " ").split())
-                if s.get("hidden_widths")
-                else None
-            ),
-            snr_range=(
-                _pair(s["snr_range"]) if isinstance(s.get("snr_range"), str)
-                else tuple(s.get("snr_range", (20.0, 50.0)))
-            ),
-            seed=int(s.get("seed", 77)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad train settings: {err}") from err
+    """Read the [train] section (missing keys keep the TrainSettings defaults)."""
+    return override(TrainSettings(), _read_sections(path).get("train", {}), "train")
 
 
 def load_plan(path) -> PlanConfig:
-    """Read the [bench] section (missing keys fall back to defaults)."""
-    data = _load_any(path)
-    s = _section(data, "bench")
-    try:
-        methods = s.get("methods", PlanConfig.methods)
-        if isinstance(methods, str):
-            methods = tuple(methods.replace(",", " ").split())
-        snrs = s.get("snr_list", PlanConfig.snr_list)
-        if isinstance(snrs, str):
-            snrs = tuple(float(v) for v in snrs.replace(",", " ").split())
-        return PlanConfig(
-            methods=tuple(methods),
-            snr_list=tuple(float(v) for v in snrs),
-            trials=int(s.get("trials", 100)),
-            seed=int(s.get("seed", 4321)),
-            workers=int(s.get("workers", 1)),
-            grid_step_deg=float(s.get("grid_step_deg", 1.0)),
-            solver_tolerance=float(s.get("solver_tolerance", 1e-5)),
-            solver_max_iterations=int(s.get("solver_max_iterations", 20_000)),
-            full_solver_cap=int(s.get("full_solver_cap", 256)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad bench settings: {err}") from err
-
-
-def _load_any(path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad JSON config: {err}") from err
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"bad INI config: {err}") from err
-    return parser
+    """Read the [bench] section (missing keys keep the PlanConfig defaults)."""
+    return override(PlanConfig(), _read_sections(path).get("bench", {}), "bench")

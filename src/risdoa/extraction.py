@@ -15,9 +15,7 @@ rooted directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import toeplitz as build_toeplitz
@@ -194,33 +192,3 @@ def estimate_from_full(vars: FullSdpVars, geom: RisGeometry, num_sources: int) -
     col = toeplitz_to_freqs(t_col, num_sources, geom.col_spacing)
     X = np.asarray(vars.x, dtype=complex).reshape(geom.rows, geom.cols)
     return _assemble_estimate(row, col, X, geom)
-
-
-def estimate_num_sources(T: np.ndarray, max_count: int | None = None) -> int:
-    """Eigenvalue-gap model-order pick (provided for completeness, unused by default)."""
-    lam = np.linalg.eigvalsh(np.asarray(T, dtype=complex))[::-1]
-    lam = np.maximum(lam, 0.0) + 1e-300
-    limit = max_count if max_count is not None else lam.size - 1
-    limit = min(limit, lam.size - 1)
-    if limit < 1:
-        raise ValueError("need at least a 2x2 matrix to pick a model order")
-    gaps = lam[:limit] / lam[1 : limit + 1]
-    return int(np.argmax(gaps)) + 1
-
-
-def export_estimates_csv(estimates, path) -> None:
-    """Write per-trial estimates as rows (trial, k, theta_deg, phi_deg, residual)."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "k", "theta_deg", "phi_deg", "residual"])
-        for trial, est in enumerate(estimates):
-            for k in range(est.count):
-                writer.writerow(
-                    [
-                        trial,
-                        k,
-                        repr(float(est.elevations_deg[k])),
-                        repr(float(est.azimuths_deg[k])),
-                        repr(float(est.pair_residuals[k])),
-                    ]
-                )

@@ -196,10 +196,11 @@ class Snapshot:
 def _check_angles(elevations_deg, azimuths_deg):
     el = np.asarray(elevations_deg, dtype=float)
     az = np.asarray(azimuths_deg, dtype=float)
-    # one entry per source: comparing Python floats beats numpy's per-call cost
-    if any(v < 0.0 or v > 180.0 for v in el.ravel().tolist()):
+    # one entry per source: comparing Python floats beats numpy's per-call cost;
+    # the negated range test also rejects NaN, for which every comparison is false
+    if any(not 0.0 <= v <= 180.0 for v in el.ravel().tolist()):
         raise ValueError(f"elevation must lie in [0, 180] degrees, got {el}")
-    if any(v < -90.0 or v > 90.0 for v in az.ravel().tolist()):
+    if any(not -90.0 <= v <= 90.0 for v in az.ravel().tolist()):
         raise ValueError(f"azimuth must lie in [-90, 90] degrees, got {az}")
 
 

@@ -88,6 +88,14 @@ class TestSimulate:
         assert (out / "snapshot_ideal.csv").exists()
         assert (out / "snapshot_ideal.json").exists()
 
+    def test_malformed_config_exits_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(TINY_INI + "\n[impairments]\nneighbors = 0;1\n")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: impairments.neighbors" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_smoke_and_metadata(self, tiny_config, tmp_path):
@@ -121,6 +129,14 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.bin").exists()
+
+    def test_unknown_key_exits_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.ini"
+        config.write_text(TINY_INI.replace("epochs = 3", "epoch = 3"))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key train.epoch" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.bin").exists()
 
     def test_cli_overrides(self, tiny_config, tmp_path):
@@ -258,6 +274,13 @@ class TestBench:
             ]
         )
         assert code == 2
+
+    def test_bad_snr_flag_exits_with_an_error(self, tiny_config, tmp_path, capsys):
+        code = main(
+            ["bench", "--config", str(tiny_config), "--out", str(tmp_path / "out"), "--snr", "10,x"]
+        )
+        assert code == 2
+        assert "snr_list" in capsys.readouterr().err
 
     def test_truncated_model_exits_with_an_error(self, tiny_config, tmp_path, capsys):
         cut = tmp_path / "cut.bin"

@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from risdoa.config import (
     ImpairmentSpec,
@@ -21,6 +23,7 @@ from risdoa.config import (
 )
 from risdoa.errors import ConfigError
 from risdoa.model import RisGeometry
+from test_cli import TINY_INI
 
 INI_TEXT = """
 [geometry]
@@ -170,6 +173,86 @@ class TestJsonLoading:
             load_scenario(path)
 
 
+# INI_TEXT and TINY_INI written as JSON, with integers where the INI has them
+INI_TEXT_JSON = {
+    "geometry": {"rows": 4, "cols": 5, "row_spacing": 0.3, "col_spacing": 0.25},
+    "sources": {
+        "count": 2, "elevation_range": [30, 70], "azimuth_range": [-20, 20],
+        "min_separation_deg": 10,
+    },
+    "impairments": {
+        "enabled": True, "coupling_amp_range": [0.05, 0.2], "mismatch_amp_range": [0.8, 1.2],
+        "mismatch_phase_range": [-0.1, 0.1], "neighbors": [[0, 1], [1, 0]],
+    },
+    "snapshot": {"num_samples": 32, "snr_db": 15},
+    "run": {"seed": 99},
+    "train": {
+        "dataset_size": 50, "epochs": 7, "batch_size": 10, "learning_rate": 0.001,
+        "snr_range": [10, 40], "seed": 3,
+    },
+    "bench": {
+        "methods": ["fft", "omp"], "snr_list": [0, 10, 20], "trials": 5, "seed": 11, "workers": 2,
+    },
+}
+TINY_JSON = {
+    "geometry": {"rows": 3, "cols": 3},
+    "sources": {"count": 1, "min_separation_deg": 0},
+    "snapshot": {"num_samples": 16, "snr_db": 20},
+    "run": {"seed": 70},
+    "train": {"dataset_size": 24, "epochs": 3, "batch_size": 8, "learning_rate": 0.001, "seed": 5},
+    "bench": {"methods": ["fft", "omp", "crb"], "snr_list": [20], "trials": 2, "seed": 17},
+}
+LOADERS = (load_scenario, load_train_settings, load_plan)
+
+
+def _write(tmp_path, text, name="config"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+class TestIniJsonParity:
+    @pytest.mark.parametrize(
+        "ini,payload",
+        [(INI_TEXT, INI_TEXT_JSON), (TINY_INI, TINY_JSON)],
+        ids=["INI_TEXT", "TINY_INI"],
+    )
+    def test_json_loads_what_the_ini_loads(self, tmp_path, ini, payload):
+        ini_path = _write(tmp_path, ini, "c.ini")
+        json_path = _write(tmp_path, json.dumps(payload), "c.json")
+        for loader in LOADERS:
+            # equal reprs: equal values of equal types, 10.0 not 10
+            assert repr(loader(json_path)) == repr(loader(ini_path))
+        assert scenario_hash(load_scenario(json_path)) == scenario_hash(load_scenario(ini_path))
+
+    def test_json_hidden_widths_list(self, tmp_path):
+        path = _write(tmp_path, json.dumps({"train": {"hidden_widths": [64, 64, 64, 64]}}))
+        assert load_train_settings(path).hidden_widths == (64, 64, 64, 64)
+
+    @pytest.mark.parametrize("word,value", [("false", False), ("no", False), ("On", True)])
+    def test_json_boolean_words_read_as_in_ini(self, tmp_path, word, value):
+        json_path = _write(tmp_path, json.dumps({"impairments": {"enabled": word}}), "c.json")
+        ini_path = _write(tmp_path, f"[impairments]\nenabled = {word}\n", "c.ini")
+        assert load_scenario(json_path).impairments.enabled is value
+        assert load_scenario(ini_path).impairments.enabled is value
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "loader,default,others",
+        [
+            (load_scenario, ScenarioConfig(), "[train]\nepochs = 3\n[bench]\ntrials = 2\n"),
+            (load_train_settings, TrainSettings(), "[run]\nseed = 2\n[bench]\ntrials = 2\n"),
+            (load_plan, PlanConfig(), "[geometry]\nrows = 3\n[train]\nepochs = 3\n"),
+        ],
+    )
+    def test_files_without_relevant_keys_give_the_dataclass_defaults(
+        self, tmp_path, loader, default, others
+    ):
+        for text in ("", "{}", others):
+            assert loader(_write(tmp_path, text)) == default
+
+
 class TestValidation:
     def test_source_count_positive(self):
         with pytest.raises(ConfigError):
@@ -297,3 +380,129 @@ class TestHash:
     def test_short_hex(self):
         h = scenario_hash(desk_scenario())
         assert len(h) == 16 and int(h, 16) >= 0
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize(
+        "loader,text,name",
+        [
+            (load_train_settings, "[train]\nepoch = 5\n", "train.epoch"),
+            (load_plan, '{"bench": {"trial": 3}}', "bench.trial"),
+            (load_scenario, "[geometry]\nrow = 4\n", "geometry.row"),
+            # seed is a ScenarioConfig field, but [snapshot] does not hold it
+            (load_scenario, "[snapshot]\nseed = 4\n", "snapshot.seed"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, loader, text, name):
+        with pytest.raises(ConfigError, match=f"unknown key {name}"):
+            loader(_write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text", ["[trian]\nepochs = 5\n", '{"trian": {}}', "[DEFAULT]\nseed = 1\n"]
+    )
+    def test_unknown_section_rejected(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        for loader in LOADERS:
+            with pytest.raises(ConfigError, match="unknown section"):
+                loader(path)
+
+    def test_other_loaders_sections_are_ignored(self, tmp_path):
+        path = _write(tmp_path, "[train]\nepoch = 5\n[bench]\ntrial = 3\n")
+        assert load_scenario(path) == ScenarioConfig()
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "loader,text",
+        [
+            (load_scenario, "[geometry]\nrows = 5%\n"),
+            (load_scenario, "[impairments]\nneighbors = 0;1\n"),
+            (load_scenario, "[impairments]\nenabled = maybe\n"),
+            (load_scenario, "[sources]\nelevation_range = a b\n"),
+            (load_scenario, "[sources]\nelevation_range = 20 50 80\n"),
+            (load_scenario, "[sources]\nelevation_range = 80 20\n"),
+            (load_scenario, '{"geometry": {"rows": 2.5}}'),
+            (load_scenario, '{"geometry": {"rows": true}}'),
+            (load_scenario, '{"geometry": 5}'),
+            (load_scenario, '{"snapshot": {"snr_db": 1' + "0" * 400 + "}}"),
+            (load_scenario, '{"sources": {"elevation_range": 20}}'),
+            (load_train_settings, '{"train": {"hidden_widths": [64, [64], 64, 64]}}'),
+            (load_plan, '{"bench": {"methods": ["fft", 5]}}'),
+            (load_plan, "[bench]\nsnr_list = 10 x\n"),
+        ],
+    )
+    def test_malformed_value_raises_config_error(self, tmp_path, loader, text):
+        with pytest.raises(ConfigError):
+            loader(_write(tmp_path, text))
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.ini"
+        path.write_bytes(b"\xff\xfe[\x00")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("name", ["elevation_range", "azimuth_range"])
+    @pytest.mark.parametrize("bad", [(80.0, 20.0), (math.nan, 20.0), (20.0, math.inf), (20.0,)])
+    def test_source_ranges_are_ordered_finite_pairs(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            SourceSpec(**{name: bad})
+
+
+# every key each section may hold; the fuzz mixes in unknown names too
+SECTION_KEYS = {
+    "geometry": [f.name for f in fields(RisGeometry)],
+    "sources": [f.name for f in fields(SourceSpec)],
+    "impairments": [f.name for f in fields(ImpairmentSpec)],
+    "snapshot": ["num_samples", "snr_db"],
+    "run": ["seed"],
+    "train": [f.name for f in fields(TrainSettings)],
+    "bench": [f.name for f in fields(PlanConfig)],
+    "trian": ["epochs"],
+}
+_WORDS = st.sampled_from(
+    ["", "0", "1", "-3", "2.5", "1e999", "nan", "-inf", "true", "maybe", "20 50", "50 20",
+     "0,1 1,0", "0;1", "a b", "64 64 64 64", "fft omp", "%", "%(x)s", "%%", "[64", "1,2,3"]
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400), st.floats(), _WORDS,
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.dictionaries(_WORDS, inner, max_size=2)
+    ),
+    max_leaves=8,
+)
+_ENTRIES = st.sampled_from(sorted(SECTION_KEYS)).flatmap(
+    lambda section: st.tuples(
+        st.just(section), st.sampled_from(SECTION_KEYS[section] + ["epoch"]), _VALUES
+    )
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=st.lists(_ENTRIES, max_size=8), as_json=st.booleans())
+    def test_every_file_loads_or_raises_config_error(self, tmp_path, entries, as_json):
+        sections: dict = {}
+        for section, key, value in entries:
+            sections.setdefault(section, {})[key] = value
+        if as_json:
+            text = json.dumps(sections)
+        else:
+            text = "".join(
+                f"[{section}]\n"
+                + "".join(
+                    f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+                    for key, value in keys.items()
+                )
+                for section, keys in sections.items()
+            )
+        path = _write(tmp_path, text)
+        for loader in LOADERS:
+            try:
+                loader(path)
+            except ConfigError:
+                pass

@@ -12,11 +12,8 @@ from risdoa.anm import (
 )
 from risdoa.errors import DegenerateInputError, EndfirePoleError
 from risdoa.extraction import (
-    DoaEstimate,
     estimate_doa,
     estimate_from_full,
-    estimate_num_sources,
-    export_estimates_csv,
     frequency_estimates,
     freqs_to_angles,
     pair_frequencies,
@@ -237,29 +234,3 @@ class TestEndToEnd:
         est = estimate_from_full(vars, geom, 2)
         np.testing.assert_allclose(est.elevations_deg, [30.0, 100.0], atol=0.1)
         np.testing.assert_allclose(est.azimuths_deg, [-40.0, 30.0], atol=0.1)
-
-
-class TestModelOrder:
-    def test_rank_two_toeplitz(self):
-        T = toeplitz_from_atoms([0.3, -0.5], [1.0, 0.7], dim=8)
-        T += 1e-9 * np.eye(8)
-        assert estimate_num_sources(T, max_count=4) == 2
-
-
-class TestCsvExport:
-    def test_layout(self, tmp_path):
-        est = DoaEstimate(
-            elevations_deg=np.array([40.0, 70.0]),
-            azimuths_deg=np.array([-20.0, 25.0]),
-            score_matrix=np.eye(2),
-            pair_scores=np.ones(2),
-            pair_residuals=np.zeros(2),
-            fit_residual=0.0,
-        )
-        out = tmp_path / "est.csv"
-        export_estimates_csv([est, est], out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "trial,k,theta_deg,phi_deg,residual"
-        assert len(lines) == 5
-        assert lines[1].startswith("0,0,40.0,")
-        assert lines[3].startswith("1,0,40.0,")

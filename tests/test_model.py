@@ -187,6 +187,19 @@ class TestSteeringMatrix:
         with pytest.raises(ValueError, match="elevation"):
             steering_matrix(GEOM22, sources)
 
+    @pytest.mark.parametrize("index,name", [(0, "elevation"), (1, "azimuth")])
+    def test_nan_angles_are_rejected(self, index, name):
+        angles = [[40.0], [10.0]]
+        angles[index] = [math.nan]
+        with pytest.raises(ValueError, match=name):
+            SourceSet(*angles, [1.0])
+        with pytest.raises(ValueError, match=name):
+            steering_vector(GEOM22, angles[0][0], angles[1][0])
+        sources = SourceSet([40.0], [10.0], [1.0])
+        (sources.elevations_deg, sources.azimuths_deg)[index][0] = math.nan
+        with pytest.raises(ValueError, match=name):
+            steering_matrix(GEOM22, sources)
+
 
 class TestCodes:
     def test_bit_to_sign_map(self):
