@@ -1,4 +1,5 @@
 import math
+import hashlib
 
 import numpy as np
 import pytest
@@ -571,3 +572,53 @@ class TestDiagnosticsExport:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "iteration,primal_residual,dual_residual"
         assert len(lines) >= 2
+
+
+def _pinned_solves():
+    """Every (program, mode) pair on seeded problems of side up to 4x4.
+
+    Yields one label and one solution per solve; the solution's arrays and
+    diagnostics are what the byte pin below hashes.
+    """
+    cfg = dict(tolerance=1e-5)
+    for seed, (rows, cols) in enumerate([(3, 3), (3, 4), (4, 4)]):
+        geom = RisGeometry(rows, cols)
+        mn = rows * cols
+        rng = np.random.default_rng(100 + seed)
+        G = build_code_schedule(mn + 3, mn, seed=200 + seed).codes
+        x = steering_vector(geom, 50.0 + 7 * seed, -12.0 + 5 * seed) + 0.6 * steering_vector(
+            geom, 105.0 - 4 * seed, 18.0
+        )
+        noise = 0.05 * _rand_complex(rng, mn + 3)
+        z = G @ x + noise
+        power = float(np.vdot(noise, noise).real)
+        # the regularized trace weight comes from noise_power or from a fixed alpha
+        for mode, alpha in (("noise-ball", None), ("regularized", None), ("regularized", 0.05)):
+            config = SolverConfig(mode=mode, alpha=alpha, **cfg)
+            label = f"{mode} alpha={alpha}"
+            yield f"danm {label}", solve_danm(z, G, geom, config, noise_power=power)
+            yield f"full {label}", solve_full_anm(geom, config, z=z, G=G, noise_power=power)
+        yield "full atomic", solve_full_anm(geom, SolverConfig(**cfg), x=x)
+
+
+def _solution_digest(solves) -> str:
+    digest = hashlib.sha256()
+    for label, sol in solves:
+        digest.update(label.encode())
+        arrays = (sol.T_x, sol.T_y, sol.X) if hasattr(sol, "X") else (sol.T, sol.x)
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+        if hasattr(sol, "t"):
+            digest.update(repr(sol.t).encode())
+        d = sol.diagnostics
+        digest.update(repr(d).encode())
+        digest.update(repr(d.residual_history).encode())
+    return digest.hexdigest()
+
+
+def test_every_solver_path_is_byte_pinned():
+    # decoupled and full programs in both denoise modes plus the atomic mode;
+    # a refactor of the splitting code must leave every bit of them alone
+    assert _solution_digest(_pinned_solves()) == (
+        "7cc5a7efd062bdbb27d5cca6609d7946a70dd760886ced4fa6e8dd6c94a3002b"
+    )
