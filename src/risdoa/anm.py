@@ -1,12 +1,14 @@
 """Gridless sparse recovery via structured trace-minimization programs.
 
-Two convex programs share one operator-splitting solver. The full program
-searches a PSD-bordered matrix [[T, x], [x^H, t]] whose MN x MN block T is
-two-level Toeplitz (outer level along the row axis, inner level along the
-column axis, matching the row-major element flattening). The decoupled
-program replaces it with [[T_x, X], [X^H, T_y]] of side M + N, with a plain
-Hermitian Toeplitz block per axis; the PSD cone shrinks from MN + 1 to
-M + N, which is where the large runtime gap between the two comes from.
+Two convex programs share one operator-splitting solver over one bordered
+PSD matrix [[T_top, x], [x^H, T_bottom]]; they differ only in how each
+diagonal block is projected onto its structure. The full program's top
+block T is MN x MN two-level Toeplitz (outer level along the row axis,
+inner level along the column axis, matching the row-major element
+flattening) and its bottom block is the scalar t. The decoupled program
+uses [[T_x, X], [X^H, T_y]] of side M + N, with a plain Hermitian Toeplitz
+block per axis; the PSD cone shrinks from MN + 1 to M + N, which is where
+the large runtime gap between the two comes from.
 
 Both minimize half the trace of the structured diagonal blocks, subject to
 the observation either through a hard residual ball ||z - G x|| <= radius
@@ -15,10 +17,13 @@ the observation either through a hard residual ball ||z - G x|| <= radius
 objective of a well-separated sparse target equals the sum of its atom
 weights.
 
-The splitting alternates (1) exact projection onto the structure and data
-constraints with the trace term folded in closed form, (2) projection onto
-the PSD cone, (3) a scaled dual update, with residual-balanced step
-adaptation.
+The splitting alternates (1) one block structure step: each diagonal
+block goes through its own projector, the border through the data coupling
+of the mode, and the trace term shifts the diagonal in closed form, (2)
+projection onto the PSD cone, (3) a scaled dual update, with
+residual-balanced step adaptation (Boyd et al. 2011). The atomic mode of
+the full program, which evaluates the atomic norm of a given x, is one more
+coupling that holds the border at x.
 
 In noise-ball mode step (1) projects the observed block onto the residual
 ball. In the SVD basis of G = U diag(s) V^H the projection of a point with
@@ -42,7 +47,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +202,6 @@ class SolverConfig:
     alpha: float | None = None
     max_iterations: int = 50_000
     tolerance: float = 1e-6
-    adapt_every: int = 50
-    record_every: int = 25
     size_cap: int = 64
 
     def __post_init__(self):
@@ -304,8 +307,9 @@ class _DataStep:
     def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0):
         self.mode = mode
         self.radius = float(radius)
+        self.G, self.z = G, np.asarray(z, dtype=complex)
         U, s, self.Vh, self.V = _code_svd(G)  # V maps the SVD basis back
-        zt = U.conj().T @ np.asarray(z, dtype=complex)
+        zt = U.conj().T @ self.z
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > smax * 1e-12))
         self.rank = rank
@@ -314,7 +318,7 @@ class _DataStep:
         self.zt = zt[:rank]
         # observation energy outside the range of G is unreachable by any x
         self.unreachable_sq = float(np.sum(np.abs(zt[rank:]) ** 2))
-        n = G.shape[1]
+        n = self.size = G.shape[1]
         self.s_full = np.zeros(n)
         self.s_full[:rank] = self.s
         self.sz_full = np.zeros(n, dtype=complex)
@@ -409,12 +413,14 @@ class _DataStep:
                 raise InfeasibleConstraintError("ball projection failed to bracket")
         return brentq(gap, 0.0, hi, xtol=1e-14)
 
-    def root_counts(self) -> dict:
-        return dict(
-            root_solves=self.root_solves,
-            secular_evaluations=self.secular_evaluations,
-            brentq_fallbacks=self.brentq_fallbacks,
-        )
+    def couple(self, v: np.ndarray, rho: float) -> np.ndarray:
+        """Data update of the observed block v at step size rho, in this step's mode."""
+        if self.mode == "noise-ball":
+            return self.ball_project(v)
+        return self.penalty_solve(v, rho)
+
+    def residual(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(self.z - self.G @ x))
 
     def penalty_solve(self, v: np.ndarray, rho: float) -> np.ndarray:
         # argmin_x 0.5 ||z - G x||^2 + rho ||x - v||^2 (x enters the bordered
@@ -422,6 +428,23 @@ class _DataStep:
         vt = self.Vh @ v
         xt = (self.sz_full + 2.0 * rho * vt) / (self.s_full**2 + 2.0 * rho)
         return self.V @ xt
+
+
+class _FixedCoupling:
+    """The atomic mode's coupling: the observed block is held at x itself."""
+
+    mode = "atomic"
+    root_solves = secular_evaluations = brentq_fallbacks = 0
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.size = x.size
+
+    def couple(self, v: np.ndarray, rho: float) -> np.ndarray:
+        return self.x
+
+    def residual(self, x: np.ndarray) -> float:
+        return 0.0
 
 
 def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) -> float:
@@ -433,8 +456,34 @@ def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) 
     return sigma * math.sqrt(n_atoms * math.log(n_atoms)) if n_atoms > 1 else sigma
 
 
+def _require_finite(**inputs) -> None:
+    """Reject solver input holding NaN or inf, naming the argument."""
+    for name, value in inputs.items():
+        if value is not None and not np.isfinite(value).all():
+            raise DegenerateInputError(f"{name} contains NaN or inf")
+
+
+def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
+    """Checked observation pair -> (data step in the configured mode, trace weight)."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    G = np.asarray(G, dtype=complex)
+    if G.shape != (z.size, n_atoms):
+        raise ValueError(f"code matrix must be {z.size}x{n_atoms}, got {G.shape}")
+    _require_finite(z=z, G=G, noise_power=noise_power)
+    if config.mode == "regularized":
+        return _DataStep(G, z, "regularized"), _resolve_alpha(config, noise_power, n_atoms, z.size)
+    if noise_power is None:
+        raise ConfigError("noise-ball mode requires noise_power")
+    return _DataStep(G, z, "noise-ball", radius=math.sqrt(max(noise_power, 0.0))), 1.0
+
+
 # ---------------------------------------------------------------------------
-# shared splitting loop
+# the splitting loop over one bordered block matrix
+
+# residual balancing runs every _ADAPT_EVERY iterations, and the residual
+# history keeps every _RECORD_EVERY-th iteration plus the first and the last
+_ADAPT_EVERY = 50
+_RECORD_EVERY = 25
 
 
 def _fro(A: np.ndarray) -> float:
@@ -444,7 +493,32 @@ def _fro(A: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
+def _structure_step(V, rho, k, project_top, project_bottom, data, weight):
+    """Projection of V onto the bordered structure [[T_top, x], [x^H, T_bottom]].
+
+    Each diagonal block goes through its own projector, the k x (side - k)
+    border through the data coupling, and the trace term shifts the
+    diagonal by weight / (2 rho).
+    """
+    H = _hermitian(V)
+    out = np.empty_like(H)
+    out[:k, :k] = project_top(H[:k, :k])
+    out[k:, k:] = project_bottom(H[k:, k:])
+    X = data.couple(H[:k, k:].reshape(-1), rho).reshape(k, -1)
+    out[:k, k:] = X
+    out[k:, :k] = X.conj().T
+    out.reshape(-1)[:: out.shape[0] + 1] -= weight / (2.0 * rho)
+    return out
+
+
+def _solve(k: int, project_top, project_bottom, data, weight: float, config: SolverConfig, label):
+    """Minimize half the trace of a bordered PSD matrix whose top block has side k.
+
+    project_top and project_bottom map the Hermitian diagonal blocks onto
+    their structure, data couples the border to the observation. Returns
+    the final structured iterate and its diagnostics.
+    """
+    dim = k + data.size // k  # the border holds the coupled x as a k-row block
     Q = np.zeros((dim, dim), dtype=complex)
     Z = np.zeros_like(Q)
     dual = np.zeros_like(Q)
@@ -454,14 +528,14 @@ def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
     r_pri = r_dual = float("nan")
     it = 0
     for it in range(1, config.max_iterations + 1):
-        Q = structure_step(Z - dual, rho)
+        Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)
         Z_prev = Z
         Z = project_psd(Q + dual)
         R = Q - Z
         dual += R
         r_pri = _fro(R)
         r_dual = rho * _fro(Z - Z_prev)
-        if it == 1 or it % config.record_every == 0:
+        if it == 1 or it % _RECORD_EVERY == 0:
             history.append((it, r_pri, r_dual))
         scale_pri = max(_fro(Q), _fro(Z), _FLOOR)
         scale_dual = max(rho * _fro(dual), _FLOOR)
@@ -469,7 +543,7 @@ def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
             converged = True
             history.append((it, r_pri, r_dual))
             break
-        if it % config.adapt_every == 0:
+        if it % _ADAPT_EVERY == 0:
             if r_pri > 10.0 * r_dual and rho < 1e8:
                 rho *= 2.0
                 dual /= 2.0
@@ -485,18 +559,26 @@ def _run_splitting(dim: int, structure_step, config: SolverConfig, label: str):
             primal_residual=r_pri,
             dual_residual=r_dual,
         )
-    return Q, rho, it, r_pri, r_dual, tuple(history)
+    diagnostics = SolverDiagnostics(
+        iterations=it,
+        converged=True,
+        primal_residual=r_pri,
+        dual_residual=r_dual,
+        trace_objective=0.5 * float(np.trace(Q[:k, :k]).real + np.trace(Q[k:, k:]).real),
+        data_residual=data.residual(Q[:k, k:].reshape(-1)),
+        min_eigenvalue=float(np.linalg.eigvalsh(Q)[0]),
+        rho_final=rho,
+        mode=data.mode,
+        residual_history=tuple(history),
+        root_solves=data.root_solves,
+        secular_evaluations=data.secular_evaluations,
+        brentq_fallbacks=data.brentq_fallbacks,
+    )
+    return Q, diagnostics
 
 
 # ---------------------------------------------------------------------------
 # solvers
-
-
-def _require_finite(**inputs) -> None:
-    """Reject solver input holding NaN or inf, naming the argument."""
-    for name, value in inputs.items():
-        if value is not None and not np.isfinite(value).all():
-            raise DegenerateInputError(f"{name} contains NaN or inf")
 
 
 def solve_danm(
@@ -515,57 +597,11 @@ def solve_danm(
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    G = np.asarray(G, dtype=complex)
-    if G.shape != (z.size, M * N):
-        raise ValueError(f"code matrix must be {z.size}x{M * N}, got {G.shape}")
-    _require_finite(z=z, G=G, noise_power=noise_power)
-    if config.mode == "noise-ball":
-        if noise_power is None:
-            raise ConfigError("noise-ball mode requires noise_power")
-        data = _DataStep(G, z, "noise-ball", radius=math.sqrt(max(noise_power, 0.0)))
-        trace_weight = 1.0
-    else:
-        data = _DataStep(G, z, "regularized")
-        trace_weight = _resolve_alpha(config, noise_power, M * N, z.size)
-
-    map_r, map_c = _toeplitz_map(M), _toeplitz_map(N)
-    diagonal = np.arange(M + N)
-
-    def structure_step(V, rho):
-        H = _hermitian(V)
-        out = np.empty_like(H)
-        out[:M, :M] = _toeplitz_average(H[:M, :M], map_r)
-        out[M:, M:] = _toeplitz_average(H[M:, M:], map_c)
-        v_x = H[:M, M:].reshape(-1)
-        if config.mode == "noise-ball":
-            x = data.ball_project(v_x)
-        else:
-            x = data.penalty_solve(v_x, rho)
-        X = x.reshape(M, N)
-        out[:M, M:] = X
-        out[M:, :M] = X.conj().T
-        out[diagonal, diagonal] -= trace_weight / (2.0 * rho)
-        return out
-
-    Q, rho, iters, r_pri, r_dual, history = _run_splitting(
-        M + N, structure_step, config, "decoupled"
-    )
-    T_x, T_y, X = Q[:M, :M], Q[M:, M:], Q[:M, M:]
-    diag = SolverDiagnostics(
-        iterations=iters,
-        converged=True,
-        primal_residual=r_pri,
-        dual_residual=r_dual,
-        trace_objective=0.5 * float(np.trace(T_x).real + np.trace(T_y).real),
-        data_residual=float(np.linalg.norm(z - G @ X.reshape(-1))),
-        min_eigenvalue=float(np.linalg.eigvalsh(Q)[0]),
-        rho_final=rho,
-        mode=config.mode,
-        residual_history=history,
-        **data.root_counts(),
-    )
-    return DecoupledSdpVars(T_x=T_x, T_y=T_y, X=X, diagnostics=diag)
+    data, weight = _coupling(config, z, G, noise_power, M * N)
+    top = partial(_toeplitz_average, P=_toeplitz_map(M))
+    bottom = partial(_toeplitz_average, P=_toeplitz_map(N))
+    Q, diag = _solve(M, top, bottom, data, weight, config, "decoupled")
+    return DecoupledSdpVars(T_x=Q[:M, :M], T_y=Q[M:, M:], X=Q[:M, M:], diagnostics=diag)
 
 
 def solve_full_anm(
@@ -590,72 +626,19 @@ def solve_full_anm(
         raise SizeCapError(f"full program of side {mn + 1} exceeds size_cap={config.size_cap}")
     if (x is None) == (z is None or G is None):
         raise ValueError("pass exactly one of x or the pair (z, G)")
-
-    if x is not None:
-        x_fixed = np.asarray(x, dtype=complex).reshape(-1)
-        if x_fixed.size != mn:
+    if x is None:
+        data, weight = _coupling(config, z, G, noise_power, mn)
+    else:
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        if x.size != mn:
             raise ValueError(f"x must have {mn} entries")
-        _require_finite(x=x_fixed)
-        data = None
-        trace_weight = 1.0
-        mode = "atomic"
-    else:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        G = np.asarray(G, dtype=complex)
-        if G.shape != (z.size, mn):
-            raise ValueError(f"code matrix must be {z.size}x{mn}, got {G.shape}")
-        _require_finite(z=z, G=G, noise_power=noise_power)
-        if config.mode == "noise-ball":
-            if noise_power is None:
-                raise ConfigError("noise-ball mode requires noise_power")
-            data = _DataStep(G, z, "noise-ball", radius=math.sqrt(max(noise_power, 0.0)))
-            trace_weight = 1.0
-        else:
-            data = _DataStep(G, z, "regularized")
-            trace_weight = _resolve_alpha(config, noise_power, mn, z.size)
-        mode = config.mode
-
-    idx2, cnt2 = _two_level_classes(M, N)
-    eye_mn = np.eye(mn)
-
-    def structure_step(V, rho):
-        shift = trace_weight / (2.0 * rho)
-        H = _hermitian(V)
-        T = _class_average(H[:mn, :mn], idx2, cnt2) - shift * eye_mn
-        t = H[mn, mn].real - shift
-        if x is not None:
-            xb = x_fixed
-        elif mode == "noise-ball":
-            xb = data.ball_project(H[:mn, mn])
-        else:
-            xb = data.penalty_solve(H[:mn, mn], rho)
-        out = np.empty((mn + 1, mn + 1), dtype=complex)
-        out[:mn, :mn] = T
-        out[mn, mn] = t
-        out[:mn, mn] = xb
-        out[mn, :mn] = xb.conj()
-        return out
-
-    Q, rho, iters, r_pri, r_dual, history = _run_splitting(mn + 1, structure_step, config, "full")
-    T, t, x_out = Q[:mn, :mn], float(Q[mn, mn].real), Q[:mn, mn]
-    if x is not None:
-        data_residual = 0.0
-    else:
-        data_residual = float(np.linalg.norm(z - G @ x_out))
-    diag = SolverDiagnostics(
-        iterations=iters,
-        converged=True,
-        primal_residual=r_pri,
-        dual_residual=r_dual,
-        trace_objective=0.5 * (float(np.trace(T).real) + t),
-        data_residual=data_residual,
-        min_eigenvalue=float(np.linalg.eigvalsh(Q)[0]),
-        rho_final=rho,
-        mode=mode,
-        residual_history=history,
-        **(data.root_counts() if data is not None else {}),
-    )
-    return FullSdpVars(T=T, t=t, x=x_out, diagnostics=diag)
+        _require_finite(x=x)
+        data, weight = _FixedCoupling(x), 1.0
+    idx, counts = _two_level_classes(M, N)
+    top = partial(_class_average, idx=idx, counts=counts)
+    bottom = partial(_toeplitz_average, P=_toeplitz_map(1))  # the scalar t
+    Q, diag = _solve(mn, top, bottom, data, weight, config, "full")
+    return FullSdpVars(T=Q[:mn, :mn], t=float(Q[mn, mn].real), x=Q[:mn, mn], diagnostics=diag)
 
 
 def atomic_norm(x: np.ndarray, geom: RisGeometry, config: SolverConfig | None = None) -> float:
