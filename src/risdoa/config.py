@@ -73,6 +73,13 @@ class ImpairmentSpec:
     mismatch_phase_range: tuple[float, float] = (-math.pi / 6, math.pi / 6)
     neighbors: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1))
 
+    def __post_init__(self):
+        for name in ("coupling_amp_range", "mismatch_amp_range", "mismatch_phase_range"):
+            _check_range(name, getattr(self, name))
+        # the coupling matrix keeps its unit diagonal, so an element cannot couple to itself
+        if (0, 0) in map(tuple, self.neighbors):
+            raise ConfigError("coupling neighbors must not include the offset (0, 0)")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -82,6 +89,14 @@ class ScenarioConfig:
     num_samples: int = 64
     snr_db: float = 20.0
     seed: int = 1234
+
+    def __post_init__(self):
+        samples = self.num_samples
+        if not (_is_count(samples) and samples >= 1):
+            raise ConfigError(f"num_samples must be an integer of at least 1, got {samples!r}")
+        # +inf is a noiseless snapshot, as in PlanConfig; nan and -inf name no noise level
+        if not (_is_real(self.snr_db) and not math.isnan(self.snr_db) and self.snr_db != -math.inf):
+            raise ConfigError(f"snr_db must be a number or +inf, got {self.snr_db!r}")
 
     def schedule(self) -> CodeSchedule:
         return build_code_schedule(

@@ -97,6 +97,14 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+    def test_invalid_scenario_exits_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text(TINY_INI.replace("num_samples = 16", "num_samples = 0"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: snapshot: num_samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestTrain:
     def test_smoke_and_metadata(self, tiny_config, tmp_path):
         out = tmp_path / "out"

@@ -329,6 +329,37 @@ class TestValidation:
         )
         assert s.hidden_widths == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("samples", [0, -4, 2.5, True])
+    def test_scenario_needs_a_sample(self, samples):
+        with pytest.raises(ConfigError, match="num_samples"):
+            ScenarioConfig(num_samples=samples)
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, "20"])
+    def test_scenario_snr_is_a_level(self, snr):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ScenarioConfig(snr_db=snr)
+
+    def test_scenario_infinite_snr_means_no_noise(self):
+        assert ScenarioConfig(snr_db=math.inf).snr_db == math.inf
+
+    @pytest.mark.parametrize(
+        "field", ["coupling_amp_range", "mismatch_amp_range", "mismatch_phase_range"]
+    )
+    @pytest.mark.parametrize("value", [(0.4, 0.1), (math.nan, 0.1), (0.1,), "ab"])
+    def test_impairment_ranges_are_ordered_finite_pairs(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ImpairmentSpec(**{field: value})
+
+    def test_impairment_neighbors_exclude_the_element_itself(self):
+        with pytest.raises(ConfigError, match=r"\(0, 0\)"):
+            ImpairmentSpec(neighbors=((0, 1), (0, 0)))
+
+    def test_scenario_file_is_validated(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[impairments]\ncoupling_amp_range = 0.4, 0.1\n")
+        with pytest.raises(ConfigError, match="coupling_amp_range"):
+            load_scenario(path)
+
     def test_train_file_is_validated(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nbatch_size = 0\n")
