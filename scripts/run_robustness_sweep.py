@@ -2,7 +2,7 @@
 """Hardware-robustness sweep: rerun the desk benchmark with each
 impairment family widened in turn and tabulate the degradation.
 
-Reuses the model from a previous run_desk_pipeline run when present
+Reuses the model from a previous desk run_pipeline.py run when present
 (same output directory layout); otherwise trains one first. One model
 serves all conditions so the per-trial draws stay paired and the
 columns are directly comparable.

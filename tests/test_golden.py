@@ -11,6 +11,13 @@ A change that moves numbers on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says in its change log which rows moved, by how much and why.
+
+The golden bits are those of OpenBLAS at its default thread count on a
+2-vCPU machine: under OPENBLAS_NUM_THREADS=1 every dnn-danm row moves by
+about 1e-13 degrees and the bench check fails. Run this module with
+default threads, and never regenerate the files under a pinned thread
+count. The one-thread identity check is the fingerprints printed by
+perfbench/run.py, which pins one thread.
 """
 
 import sys
