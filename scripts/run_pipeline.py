@@ -26,25 +26,14 @@ from pathlib import Path
 from risdoa.config import PlanConfig, SourceSpec, TrainSettings, desk_scenario, large_scenario
 from risdoa.harness import run_bench, run_compare, run_train
 
-# Samples per snapshot: comfortably more than the surface elements (the
-# same 3:2 ratio at both scales), so energy outside the range of the code
-# matrix reveals how much disturbance survives reconstruction. The full
-# program's size cap and whether it runs by default follow its PSD side.
+# Per scale: the scenario factory, samples per snapshot (comfortably more
+# than the surface elements, the same 3:2 ratio at both scales, so energy
+# outside the range of the code matrix reveals how much disturbance
+# survives reconstruction), the default seed, the full program's size cap,
+# and whether the full program runs without --include-full.
 PRESETS = {
-    "desk": dict(
-        scenario=desk_scenario,
-        num_samples=96,
-        seed=4242,
-        full_solver_cap=PlanConfig.full_solver_cap,
-        full_by_default=True,
-    ),
-    "large": dict(
-        scenario=large_scenario,
-        num_samples=192,
-        seed=2626,
-        full_solver_cap=1024,
-        full_by_default=False,
-    ),
+    "desk": (desk_scenario, 96, 4242, PlanConfig.full_solver_cap, True),
+    "large": (large_scenario, 192, 2626, 1024, False),
 }
 
 # fixed evaluation scene, well separated on both axes so every method has
@@ -76,13 +65,12 @@ def main(argv=None) -> int:
         help="add the full-size semidefinite baseline (always on at desk scale; slow at large)",
     )
     args = parser.parse_args(argv)
-    preset = PRESETS[args.scale]
+    make_scenario, samples, default_seed, full_cap, full_by_default = PRESETS[args.scale]
     out = args.out or Path("results") / args.scale
-    seed = preset["seed"] if args.seed is None else args.seed
+    seed = default_seed if args.seed is None else args.seed
 
-    make_scenario = preset["scenario"]
-    train_scenario = make_scenario(seed=seed, num_samples=preset["num_samples"])
-    bench_scenario = make_scenario(seed=seed, num_samples=preset["num_samples"], sources=SCENE)
+    train_scenario = make_scenario(seed=seed, num_samples=samples)
+    bench_scenario = make_scenario(seed=seed, num_samples=samples, sources=SCENE)
     model_path = out / "model.bin"
     if args.skip_train and model_path.exists():
         print(f"reusing {model_path}")
@@ -98,12 +86,12 @@ def main(argv=None) -> int:
         print(f"loss history  -> {loss_path}")
 
     plan = PlanConfig(
-        methods=methods(args.include_full or preset["full_by_default"]),
+        methods=methods(args.include_full or full_by_default),
         snr_list=tuple(float(v) for v in args.snr.split(",")),
         trials=args.trials,
         seed=31,
         workers=args.workers,
-        full_solver_cap=preset["full_solver_cap"],
+        full_solver_cap=full_cap,
     )
     paths = run_bench(bench_scenario, plan, out, model_path=model_path)
     print(f"benchmark     -> {paths.summary}")

@@ -1,14 +1,13 @@
 """Gridless sparse recovery via structured trace-minimization programs.
 
-Two convex programs share one operator-splitting solver over one bordered
-PSD matrix [[T_top, x], [x^H, T_bottom]]; they differ only in how each
-diagonal block is projected onto its structure. The full program's top
-block T is MN x MN two-level Toeplitz (outer level along the row axis,
-inner level along the column axis, matching the row-major element
-flattening) and its bottom block is the scalar t. The decoupled program
-uses [[T_x, X], [X^H, T_y]] of side M + N, with a plain Hermitian Toeplitz
-block per axis; the PSD cone shrinks from MN + 1 to M + N, which is where
-the large runtime gap between the two comes from.
+Two convex programs share one operator-splitting solver over a bordered PSD
+matrix [[T_top, x], [x^H, T_bottom]] and differ only in the projector of
+each diagonal block. The full program's T_top is MN x MN two-level Toeplitz
+(outer level along the row axis, inner level along the column axis,
+matching the row-major element flattening) and T_bottom the scalar t. The
+decoupled program has [[T_x, X], [X^H, T_y]] of side M + N, a Hermitian
+Toeplitz block per axis; the PSD cone shrinks from MN + 1 to M + N, which
+is where the large runtime gap between the two comes from.
 
 Both minimize half the trace of the structured diagonal blocks, subject to
 the observation either through a hard residual ball ||z - G x|| <= radius
@@ -17,13 +16,12 @@ the observation either through a hard residual ball ||z - G x|| <= radius
 objective of a well-separated sparse target equals the sum of its atom
 weights.
 
-The splitting alternates (1) one block structure step: each diagonal
-block goes through its own projector, the border through the data coupling
-of the mode, and the trace term shifts the diagonal in closed form, (2)
-projection onto the PSD cone, (3) a scaled dual update, with
-residual-balanced step adaptation (Boyd et al. 2011). The atomic mode of
-the full program, which evaluates the atomic norm of a given x, is one more
-coupling that holds the border at x.
+The splitting alternates (1) one block structure step (each diagonal block
+through its projector, the border through the mode's data coupling, the
+trace term as a closed-form diagonal shift), (2) projection onto the PSD
+cone, (3) a scaled dual update, with residual-balanced step adaptation
+(Boyd et al. 2011). The atomic mode, which evaluates the atomic norm of a
+given x, couples the border to that fixed x.
 
 In noise-ball mode step (1) projects the observed block onto the residual
 ball. In the SVD basis of G = U diag(s) V^H the projection of a point with
@@ -524,9 +522,6 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
     dual = np.zeros_like(Q)
     rho = config.rho
     history = []
-    converged = False
-    r_pri = r_dual = float("nan")
-    it = 0
     for it in range(1, config.max_iterations + 1):
         Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)
         Z_prev = Z
@@ -540,7 +535,6 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
         scale_pri = max(_fro(Q), _fro(Z), _FLOOR)
         scale_dual = max(rho * _fro(dual), _FLOOR)
         if r_pri <= config.tolerance * scale_pri and r_dual <= config.tolerance * scale_dual:
-            converged = True
             history.append((it, r_pri, r_dual))
             break
         if it % _ADAPT_EVERY == 0:
@@ -550,7 +544,7 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
             elif r_dual > 10.0 * r_pri and rho > 1e-8:
                 rho /= 2.0
                 dual *= 2.0
-    if not converged:
+    else:  # max_iterations >= 1, so the loop ran and set it, r_pri and r_dual
         raise SolverConvergenceError(
             f"{label} splitting did not reach tolerance {config.tolerance:g} "
             f"in {config.max_iterations} iterations "
