@@ -41,11 +41,6 @@ PRESETS = {
 SCENE = SourceSpec(count=2, elevations=(45.4, 72.8), azimuths=(-22.3, 18.9))
 
 
-def methods(include_full: bool) -> tuple[str, ...]:
-    full = ("anm-denoise",) if include_full else ()
-    return ("fft", "omp", "fft-denoise", "omp-denoise") + full + ("dnn-danm", "crb")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -85,8 +80,9 @@ def main(argv=None) -> int:
         print(f"trained model -> {model_path}")
         print(f"loss history  -> {loss_path}")
 
+    full = ("anm-denoise",) if args.include_full or full_by_default else ()
     plan = PlanConfig(
-        methods=methods(args.include_full or full_by_default),
+        methods=("fft", "omp", "fft-denoise", "omp-denoise") + full + ("dnn-danm", "crb"),
         snr_list=tuple(float(v) for v in args.snr.split(",")),
         trials=args.trials,
         seed=31,

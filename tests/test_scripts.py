@@ -17,12 +17,13 @@ def _load_driver():
 
 
 @pytest.mark.slow
-def test_desk_pipeline_summarizes_every_method(tmp_path, capsys):
+def test_desk_pipeline_summarizes_every_method(tmp_path):
     driver = _load_driver()
     tiny = ["--epochs", "1", "--dataset-size", "200", "--trials", "2", "--snr", "30"]
     assert driver.main(["--scale", "desk", "--out", str(tmp_path), *tiny]) == 0
     with open(tmp_path / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["method"] for row in rows] == list(driver.methods(include_full=True))
+    # the desk preset runs the full program by default
+    desk_methods = ["fft", "omp", "fft-denoise", "omp-denoise", "anm-denoise", "dnn-danm", "crb"]
+    assert [row["method"] for row in rows] == desk_methods
     assert all(row["snr_db"] == "30.0" and row["trials"] == "2" for row in rows)
-    assert "benchmark     ->" in capsys.readouterr().out
