@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     print(f"benchmark     -> {paths.summary}")
     for row in run_compare(paths.summary, out_path=out / "compare.csv"):
         rmse = "n/a" if row["rmse_deg"] is None else f"{row['rmse_deg']:.4f} deg"
-        print(f"  snr {row['snr_db']:>5g}  {row['rank']:>5}  {row['method']:<12} {rmse}")
+        print(f"  snr {row['snr_db']:>5g}  {row['rank']:>6}  {row['method']:<12} {rmse}")
     return 0
 
 

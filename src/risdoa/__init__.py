@@ -8,157 +8,4 @@ low-rank completion. Classical grid methods and a numeric error bound are
 included for benchmarking.
 """
 
-from .anm import (
-    AtomicDecomposition,
-    DecoupledSdpVars,
-    FullSdpVars,
-    SolverConfig,
-    SolverDiagnostics,
-    atomic_norm,
-    solve_danm,
-    solve_full_anm,
-    vandermonde_decompose,
-)
-from .baselines import (
-    AngleGrid,
-    GridDictionary,
-    build_dictionary,
-    crb_numeric,
-    grid_estimate,
-    grid_spectrum,
-    matched_squared_error,
-    omp_estimate,
-    rmse_deg,
-)
-from .config import (
-    ImpairmentSpec,
-    PlanConfig,
-    ScenarioConfig,
-    SourceSpec,
-    TrainSettings,
-    desk_scenario,
-    load_plan,
-    load_scenario,
-    load_train_settings,
-    large_scenario,
-    scenario_hash,
-)
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    EndfirePoleError,
-    InfeasibleConstraintError,
-    RisDoaError,
-    SingularFimError,
-    SizeCapError,
-    SolverConvergenceError,
-    TrainingDivergedError,
-)
-from .extraction import (
-    DoaEstimate,
-    FrequencyEstimates,
-    estimate_doa,
-    estimate_from_full,
-    freqs_to_angles,
-    toeplitz_to_freqs,
-)
-from .harness import run_bench, run_compare, run_simulate, run_train
-from .model import (
-    CodeSchedule,
-    ImpairmentModel,
-    RisGeometry,
-    Snapshot,
-    SourceSet,
-    build_code_schedule,
-    read_snapshot,
-    sample_impairments,
-    sample_sources,
-    steering_vector,
-    synthesize_ideal,
-    synthesize_impaired,
-    write_snapshot,
-)
-from .network import (
-    MlpParams,
-    TrainingSet,
-    generate_dataset,
-    load_model,
-    reconstruct,
-    save_model,
-    train,
-)
-from .seeding import child_seed
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleGrid",
-    "AtomicDecomposition",
-    "CodeSchedule",
-    "ConfigError",
-    "DecoupledSdpVars",
-    "DegenerateInputError",
-    "DoaEstimate",
-    "EndfirePoleError",
-    "FrequencyEstimates",
-    "FullSdpVars",
-    "GridDictionary",
-    "ImpairmentModel",
-    "ImpairmentSpec",
-    "InfeasibleConstraintError",
-    "MlpParams",
-    "PlanConfig",
-    "RisDoaError",
-    "RisGeometry",
-    "ScenarioConfig",
-    "SingularFimError",
-    "SizeCapError",
-    "Snapshot",
-    "SolverConfig",
-    "SolverConvergenceError",
-    "SolverDiagnostics",
-    "SourceSet",
-    "SourceSpec",
-    "TrainSettings",
-    "TrainingDivergedError",
-    "TrainingSet",
-    "atomic_norm",
-    "build_code_schedule",
-    "build_dictionary",
-    "child_seed",
-    "crb_numeric",
-    "desk_scenario",
-    "estimate_doa",
-    "estimate_from_full",
-    "freqs_to_angles",
-    "generate_dataset",
-    "grid_estimate",
-    "grid_spectrum",
-    "load_model",
-    "load_plan",
-    "load_scenario",
-    "load_train_settings",
-    "matched_squared_error",
-    "omp_estimate",
-    "large_scenario",
-    "read_snapshot",
-    "reconstruct",
-    "rmse_deg",
-    "run_bench",
-    "run_compare",
-    "run_simulate",
-    "run_train",
-    "sample_impairments",
-    "sample_sources",
-    "save_model",
-    "scenario_hash",
-    "solve_danm",
-    "solve_full_anm",
-    "steering_vector",
-    "synthesize_ideal",
-    "synthesize_impaired",
-    "toeplitz_to_freqs",
-    "train",
-    "vandermonde_decompose",
-    "write_snapshot",
-]

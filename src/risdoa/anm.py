@@ -196,7 +196,6 @@ class SolverConfig:
     """
 
     mode: str = "noise-ball"
-    rho: float = 1.0
     alpha: float | None = None
     max_iterations: int = 50_000
     tolerance: float = 1e-6
@@ -205,8 +204,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("noise-ball", "regularized"):
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.rho <= 0 or self.tolerance <= 0 or self.max_iterations < 1:
-            raise ConfigError("rho, tolerance, max_iterations must be positive")
+        if self.tolerance <= 0 or self.max_iterations < 1:
+            raise ConfigError("tolerance, max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -478,8 +477,9 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
 # ---------------------------------------------------------------------------
 # the splitting loop over one bordered block matrix
 
-# residual balancing runs every _ADAPT_EVERY iterations, and the residual
-# history keeps every _RECORD_EVERY-th iteration plus the first and the last
+# the step size rho starts at 1 and residual balancing rescales it every
+# _ADAPT_EVERY iterations; the residual history keeps every _RECORD_EVERY-th
+# iteration plus the first and the last
 _ADAPT_EVERY = 50
 _RECORD_EVERY = 25
 
@@ -520,7 +520,7 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
     Q = np.zeros((dim, dim), dtype=complex)
     Z = np.zeros_like(Q)
     dual = np.zeros_like(Q)
-    rho = config.rho
+    rho = 1.0
     history = []
     for it in range(1, config.max_iterations + 1):
         Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)

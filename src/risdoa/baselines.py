@@ -123,9 +123,7 @@ def _parabolic_offset(left: float, mid: float, right: float) -> float:
     return float(np.clip(offset, -0.5, 0.5))
 
 
-def _pick_peaks(
-    spectrum: np.ndarray, dictionary: GridDictionary, count: int, exclusion_beams: float
-):
+def _pick_peaks(spectrum: np.ndarray, dictionary: GridDictionary, count: int):
     """Greedy maxima, each suppressing its own mainlobe before the next pick.
 
     Exclusion is an ellipse in the two spatial frequencies sized by the
@@ -144,7 +142,7 @@ def _pick_peaks(
         i, j = np.unravel_index(flat, work.shape)
         picks.append((int(i), int(j)))
         dist2 = ((f_row - f_row[i, j]) * geom.rows) ** 2 + ((f_col - f_col[i, j]) * geom.cols) ** 2
-        work[dist2 < exclusion_beams**2] = -np.inf
+        work[dist2 < 1.0] = -np.inf
     return picks
 
 
@@ -153,18 +151,17 @@ def grid_estimate(
     dictionary: GridDictionary,
     num_sources: int,
     refine: bool = True,
-    exclusion_beams: float = 1.0,
 ):
     """Peak angles of the matched-filter spectrum, optionally refined off-grid.
 
-    Successive peaks must be at least exclusion_beams Rayleigh widths apart
-    in spatial frequency. Refinement fits a parabola through each peak and
-    its axis neighbors and is skipped at grid edges. Returns (elevations,
-    azimuths) sorted by elevation.
+    Successive peaks must be at least one Rayleigh width apart in spatial
+    frequency. Refinement fits a parabola through each peak and its axis
+    neighbors and is skipped at grid edges. Returns (elevations, azimuths)
+    sorted by elevation.
     """
     spectrum = grid_spectrum(samples, dictionary)
     grid = dictionary.grid
-    picks = _pick_peaks(spectrum, dictionary, num_sources, exclusion_beams)
+    picks = _pick_peaks(spectrum, dictionary, num_sources)
     el_step = float(grid.elevations_deg[1] - grid.elevations_deg[0]) if grid.elevations_deg.size > 1 else 0.0
     az_step = float(grid.azimuths_deg[1] - grid.azimuths_deg[0]) if grid.azimuths_deg.size > 1 else 0.0
     els, azs = [], []

@@ -130,7 +130,7 @@ def _cmd_compare(args) -> int:
             current = row["snr_db"]
             print(f"SNR {current:g} dB")
         rmse = "n/a" if row["rmse_deg"] is None else f"{row['rmse_deg']:.4f} deg"
-        print(f"  {row['rank']:>5}  {row['method']:<12} {rmse}")
+        print(f"  {row['rank']:>6}  {row['method']:<12} {rmse}")
     if args.out:
         print(f"wrote {args.out}")
     return 0

@@ -27,14 +27,6 @@ from .model import RisGeometry, axis_atom
 
 
 @dataclass(frozen=True)
-class FrequencyEstimates:
-    """Per-axis spatial frequencies recovered from the Toeplitz factors."""
-
-    row: np.ndarray
-    col: np.ndarray
-
-
-@dataclass(frozen=True)
 class DoaEstimate:
     """Paired angle estimates sorted by elevation, plus fit diagnostics.
 
@@ -139,27 +131,17 @@ def freqs_to_angles(f_row: float, f_col: float):
 
 def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimate:
     pairs, S = _pairs_and_scores(row_freqs, col_freqs, X, geom)
-    atoms = []
-    angles = []
-    for i, j in pairs:
-        theta, phi = freqs_to_angles(row_freqs[i], col_freqs[j])
-        angles.append((theta, phi))
-        u = axis_atom(row_freqs[i], geom.rows, geom.row_spacing)
-        v = axis_atom(col_freqs[j], geom.cols, geom.col_spacing)
-        atoms.append(np.outer(u, v))
-    basis = np.stack([a.reshape(-1) for a in atoms], axis=1)
+    angles = [freqs_to_angles(row_freqs[i], col_freqs[j]) for i, j in pairs]
+    rows = [axis_atom(row_freqs[i], geom.rows, geom.row_spacing) for i, _ in pairs]
+    cols = [axis_atom(col_freqs[j], geom.cols, geom.col_spacing) for _, j in pairs]
+    basis = np.stack([np.outer(u, v).reshape(-1) for u, v in zip(rows, cols)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, X.reshape(-1), rcond=None)
     rebuild = (basis @ coef).reshape(geom.rows, geom.cols)
     err = X - rebuild
     x_norm = max(float(np.linalg.norm(X)), 1e-300)
     scale = np.sqrt(geom.rows * geom.cols)
-    pair_res = []
-    pair_scores = []
-    for (i, j), atom in zip(pairs, atoms):
-        u = axis_atom(row_freqs[i], geom.rows, geom.row_spacing)
-        w = axis_atom(col_freqs[j], geom.cols, geom.col_spacing).conj()
-        pair_res.append(abs(u.conj() @ err @ w) / scale)
-        pair_scores.append(S[i, j])
+    pair_res = [abs(u.conj() @ err @ v.conj()) / scale for u, v in zip(rows, cols)]
+    pair_scores = [S[i, j] for i, j in pairs]
     order = np.argsort([a[0] for a in angles], kind="stable")
     angles = np.asarray(angles)[order]
     return DoaEstimate(
@@ -172,17 +154,12 @@ def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimat
     )
 
 
-def frequency_estimates(vars: DecoupledSdpVars, geom: RisGeometry, num_sources: int) -> FrequencyEstimates:
-    """Root both Toeplitz factors of a decoupled solution."""
-    row = toeplitz_to_freqs(vars.T_x, num_sources, geom.row_spacing)
-    col = toeplitz_to_freqs(vars.T_y.conj(), num_sources, geom.col_spacing)
-    return FrequencyEstimates(row=row, col=col)
-
-
 def estimate_doa(vars: DecoupledSdpVars, geom: RisGeometry, num_sources: int) -> DoaEstimate:
     """Full extraction from a decoupled solution: root, pair, map to angles."""
-    freqs = frequency_estimates(vars, geom, num_sources)
-    return _assemble_estimate(freqs.row, freqs.col, vars.X, geom)
+    row = toeplitz_to_freqs(vars.T_x, num_sources, geom.row_spacing)
+    # T_y carries conjugated atoms, see module docstring
+    col = toeplitz_to_freqs(vars.T_y.conj(), num_sources, geom.col_spacing)
+    return _assemble_estimate(row, col, vars.X, geom)
 
 
 def estimate_from_full(vars: FullSdpVars, geom: RisGeometry, num_sources: int) -> DoaEstimate:

@@ -219,14 +219,11 @@ def _estimate(method: str, snap, recon, sources):
     geom = scenario.geometry
     count = sources.count
     total_noise = snap.noise_power * snap.samples.size
-    if method == "fft":
-        return grid_estimate(snap.samples, ctx["dictionary"], count, refine=True)
-    if method == "omp":
-        return omp_estimate(snap.samples, ctx["dictionary"], count)
-    if method == "fft-denoise":
-        return grid_estimate(recon, ctx["dictionary"], count, refine=True)
-    if method == "omp-denoise":
-        return omp_estimate(recon, ctx["dictionary"], count)
+    data = recon if method in _MODEL_METHODS else snap.samples
+    if method in ("fft", "fft-denoise"):
+        return grid_estimate(data, ctx["dictionary"], count, refine=True)
+    if method in ("omp", "omp-denoise"):
+        return omp_estimate(data, ctx["dictionary"], count)
     if method == "dnn-danm":
         budget = _reconstruction_budget(recon, total_noise, ctx["range_basis"])
         vars = solve_danm(recon, ctx["codes"], geom, ctx["danm_config"], noise_power=budget)
@@ -264,33 +261,20 @@ def _run_cell(task):
     count = sources.count
     records = []
     for method in plan.methods:
+        els, azs, sq, error = (), (), None, ""
         start = time.perf_counter()
         try:
             result = _estimate(method, snap, recon, sources)
         except (RisDoaError, ValueError, np.linalg.LinAlgError) as err:
-            records.append(
-                TrialRecord(
-                    method, snr_db, trial, true_el, true_az, (), (), None,
-                    time.perf_counter() - start, error=f"{type(err).__name__}: {err}",
-                )
-            )
-            continue
+            error = f"{type(err).__name__}: {err}"
         seconds = time.perf_counter() - start
-        if method == "crb":
+        if not error and method == "crb":
             # store so that pooling with the common formula gives the RMS bound
             sq = 2.0 * count * float(result) ** 2
-            records.append(
-                TrialRecord(method, snr_db, trial, true_el, true_az, (), (), sq, seconds)
-            )
-        else:
-            els, azs = result
-            sq = matched_squared_error(els, azs, true_el, true_az)
-            records.append(
-                TrialRecord(
-                    method, snr_db, trial, true_el, true_az,
-                    tuple(float(v) for v in els), tuple(float(v) for v in azs), sq, seconds,
-                )
-            )
+        elif not error:
+            sq = matched_squared_error(*result, true_el, true_az)
+            els, azs = (tuple(float(v) for v in a) for a in result)
+        records.append(TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error))
     return records
 
 
@@ -402,9 +386,11 @@ def _write_timing(path, records, plan: PlanConfig) -> None:
 def run_compare(summary_path, out_path=None):
     """Rank estimators per SNR from a summary.csv, with the bound alongside.
 
-    Returns a list of row dicts (snr_db, rank, method, rmse_deg). The bound
-    appears with rank "bound". Raises ConfigError when the file is missing
-    columns or contains no estimator rows.
+    Returns a list of row dicts (snr_db, rank, method, rmse_deg). A method
+    with no surviving trial (empty RMSE) follows the ranked ones with rank
+    "failed" and rmse_deg None; the bound comes last with rank "bound".
+    Raises ConfigError when the file is missing columns or contains no
+    estimator rows.
     """
     summary_path = Path(summary_path)
     if summary_path.is_dir():
@@ -430,16 +416,13 @@ def run_compare(summary_path, out_path=None):
         raise ConfigError("summary contains no estimator rows")
     out_rows = []
     for snr in sorted({p[1] for p in parsed}):
-        cell = [p for p in estimators if p[1] == snr and p[2] is not None]
-        cell.sort(key=lambda p: p[2])
-        for rank, (method, _, rmse) in enumerate(cell, start=1):
-            out_rows.append(
-                {"snr_db": snr, "rank": str(rank), "method": method, "rmse_deg": rmse}
-            )
-        for method, _, rmse in ((p[0], p[1], p[2]) for p in parsed if p[0] == "crb" and p[1] == snr):
-            out_rows.append(
-                {"snr_db": snr, "rank": "bound", "method": method, "rmse_deg": rmse}
-            )
+        cell = [p for p in estimators if p[1] == snr]
+        ranked = sorted((p for p in cell if p[2] is not None), key=lambda p: p[2])
+        failed = [p for p in cell if p[2] is None]
+        bound = [p for p in parsed if p[0] == "crb" and p[1] == snr]
+        ranks = [str(r) for r in range(1, len(ranked) + 1)] + ["failed"] * len(failed)
+        for rank, (method, _, rmse) in zip(ranks + ["bound"] * len(bound), ranked + failed + bound):
+            out_rows.append({"snr_db": snr, "rank": rank, "method": method, "rmse_deg": rmse})
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write("snr_db,rank,method,rmse_deg\n")

@@ -219,24 +219,18 @@ def axis_atom(freq: float, length: int, spacing: float) -> np.ndarray:
 def steering_vector(geom: RisGeometry, elevation_deg: float, azimuth_deg: float) -> np.ndarray:
     """Surface response to a unit far source, flattened row-major.
 
-    Entry m * N + n is exp(-2j pi (n d_c sin(t) sin(p) + m d_r cos(t))).
-    Equivalently the Kronecker product of the two axis responses, which is
-    the factorization the gridless estimators rely on.
+    Entry m * N + n is exp(-2j pi (n d_c sin(t) sin(p) + m d_r cos(t))):
+    the single column of steering_matrix for that source.
     """
-    _check_angles(elevation_deg, azimuth_deg)
-    f_row, f_col = angle_frequencies(elevation_deg, azimuth_deg)
-    return np.kron(
-        axis_atom(f_row, geom.rows, geom.row_spacing),
-        axis_atom(f_col, geom.cols, geom.col_spacing),
-    )
+    return steering_matrix(geom, SourceSet([elevation_deg], [azimuth_deg], [1.0]))[:, 0]
 
 
 def steering_matrix(geom: RisGeometry, sources: SourceSet) -> np.ndarray:
     """Stack steering vectors of all sources as columns, shape (MN, K).
 
     Column k is the outer product of source k's two axis responses,
-    flattened row-major: the same products as the Kronecker product in
-    steering_vector, computed for all sources at once.
+    flattened row-major, i.e. their Kronecker product: the factorization
+    the gridless estimators rely on.
     """
     _check_angles(sources.elevations_deg, sources.azimuths_deg)
     f_row, f_col = angle_frequencies(sources.elevations_deg, sources.azimuths_deg)

@@ -42,6 +42,8 @@ from .seeding import child_seed
 _MAGIC = b"RDNM"
 _VERSION = 1
 _DEFAULT_HIDDEN = (256, 256, 256, 256)
+# Adam moment decays and denominator guard at the defaults of Kingma & Ba (2015)
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 def stack_complex(z: np.ndarray) -> np.ndarray:
@@ -144,12 +146,9 @@ def backward(params: MlpParams, x: np.ndarray, target: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters, step count and the two moments as flat buffers."""
+    """Adam learning rate, step count and the two moments as flat buffers."""
 
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
     step: int
     m: np.ndarray
     v: np.ndarray
@@ -170,23 +169,9 @@ def _unflatten(flat: np.ndarray, like: MlpParams) -> MlpParams:
     return MlpParams(weights=parts[:num], biases=parts[num:], feature_scale=like.feature_scale)
 
 
-def adam_init(
-    params: MlpParams,
-    learning_rate: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def adam_init(params: MlpParams, learning_rate: float = 1e-4) -> AdamState:
     size = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
-    return AdamState(
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        step=0,
-        m=np.zeros(size),
-        v=np.zeros(size),
-    )
+    return AdamState(learning_rate=learning_rate, step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: Gradients) -> MlpParams:
@@ -198,23 +183,22 @@ def adam_step(state: AdamState, params: MlpParams, grads: Gradients) -> MlpParam
     result does not depend on the flat layout.
     """
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
+    c1 = 1.0 - _BETA1**state.step
+    c2 = 1.0 - _BETA2**state.step
     m, v = state.m, state.v
     g = _flatten(grads)
-    work = np.multiply(g, 1.0 - b1)
-    m *= b1
+    work = np.multiply(g, 1.0 - _BETA1)
+    m *= _BETA1
     m += work
-    np.multiply(g, 1.0 - b2, out=work)
+    np.multiply(g, 1.0 - _BETA2, out=work)
     work *= g
-    v *= b2
+    v *= _BETA2
     v += work
     np.divide(v, c2, out=work)
     np.sqrt(work, out=work)
-    work += eps
+    work += _EPSILON
     step = np.divide(m, c1, out=g)
-    step *= lr
+    step *= state.learning_rate
     step /= work
     value = _flatten(params)
     value -= step

@@ -384,7 +384,7 @@ class TestSolverConfig:
 
     def test_bad_numbers_rejected(self):
         with pytest.raises(ConfigError):
-            SolverConfig(rho=0.0)
+            SolverConfig(tolerance=0.0)
 
 
 class TestDecoupledSolver:

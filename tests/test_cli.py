@@ -359,6 +359,26 @@ class TestCompare:
         rows = run_compare(path)
         assert rows[0]["rank"] == "1" and rows[0]["method"] == "fft"
 
+    def test_method_with_no_surviving_trial_is_listed_as_failed(self, tmp_path, capsys):
+        path = self.write_summary(
+            tmp_path,
+            [("fft", 30.0, 0.5, 2, 0), ("dnn-danm", 30.0, "", 2, 2), ("crb", 30.0, 0.1, 2, 0)],
+        )
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "30.0,1,fft,0.5",
+            "30.0,failed,dnn-danm,",
+            "30.0,bound,crb,0.1",
+        ]
+        assert "failed  dnn-danm     n/a" in capsys.readouterr().out
+        rows = run_compare(path)
+        assert [(r["rank"], r["method"], r["rmse_deg"]) for r in rows] == [
+            ("1", "fft", 0.5),
+            ("failed", "dnn-danm", None),
+            ("bound", "crb", 0.1),
+        ]
+
     def test_bound_only_rejected(self, tmp_path):
         path = self.write_summary(tmp_path, [("crb", 10.0, 0.1, 3, 0)])
         with pytest.raises(ConfigError, match="estimator"):

@@ -14,7 +14,6 @@ from risdoa.errors import DegenerateInputError, EndfirePoleError
 from risdoa.extraction import (
     estimate_doa,
     estimate_from_full,
-    frequency_estimates,
     freqs_to_angles,
     pair_frequencies,
     pairing_scores,
@@ -174,9 +173,12 @@ class TestManufacturedSolutions:
         T_y = toeplitz_from_atoms(f_cols, weights, geom.cols, geom.col_spacing).conj()
         X = _rank_one_X(geom, list(zip(f_rows, f_cols)), weights)
         vars = DecoupledSdpVars(T_x=T_x, T_y=T_y, X=X, diagnostics=_DUMMY_DIAG)
-        freqs = frequency_estimates(vars, geom, 2)
-        np.testing.assert_allclose(freqs.row, sorted(f_rows), atol=1e-8)
-        np.testing.assert_allclose(freqs.col, sorted(f_cols), atol=1e-8)
+        est = estimate_doa(vars, geom, 2)
+        expected = sorted(
+            freqs_to_angles(f_r, f_c) for f_r, f_c in zip(f_rows, f_cols)
+        )
+        np.testing.assert_allclose(est.elevations_deg, [e[0] for e in expected], atol=1e-6)
+        np.testing.assert_allclose(est.azimuths_deg, [e[1] for e in expected], atol=1e-6)
 
     def test_full_marginal_conventions(self):
         geom = RisGeometry(5, 5)
