@@ -29,11 +29,11 @@ from risdoa.harness import run_bench, run_compare, run_train
 # Per scale: the scenario factory, samples per snapshot (comfortably more
 # than the surface elements, the same 3:2 ratio at both scales, so energy
 # outside the range of the code matrix reveals how much disturbance
-# survives reconstruction), the default seed, the full program's size cap,
-# and whether the full program runs without --include-full.
+# survives reconstruction), the default seed, and whether the full program
+# runs without --include-full.
 PRESETS = {
-    "desk": (desk_scenario, 96, 4242, PlanConfig.full_solver_cap, True),
-    "large": (large_scenario, 192, 2626, 1024, False),
+    "desk": (desk_scenario, 96, 4242, True),
+    "large": (large_scenario, 192, 2626, False),
 }
 
 # fixed evaluation scene, well separated on both axes so every method has
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         help="add the full-size semidefinite baseline (always on at desk scale; slow at large)",
     )
     args = parser.parse_args(argv)
-    make_scenario, samples, default_seed, full_cap, full_by_default = PRESETS[args.scale]
+    make_scenario, samples, default_seed, full_by_default = PRESETS[args.scale]
     out = args.out or Path("results") / args.scale
     seed = default_seed if args.seed is None else args.seed
 
@@ -87,7 +87,6 @@ def main(argv=None) -> int:
         trials=args.trials,
         seed=31,
         workers=args.workers,
-        full_solver_cap=full_cap,
     )
     paths = run_bench(bench_scenario, plan, out, model_path=model_path)
     print(f"benchmark     -> {paths.summary}")

@@ -14,17 +14,11 @@ import math
 import sys
 from pathlib import Path
 
-from risdoa.config import (
-    ImpairmentSpec,
-    PlanConfig,
-    SourceSpec,
-    TrainSettings,
-    desk_scenario,
-)
+from risdoa.config import ImpairmentSpec, PlanConfig, TrainSettings, desk_scenario
 from risdoa.harness import run_bench, run_train
+from run_pipeline import PRESETS, SCENE  # the sibling script; its directory is on sys.path
 
-NUM_SAMPLES = 96
-SCENE = SourceSpec(count=2, elevations=(45.4, 72.8), azimuths=(-22.3, 18.9))
+NUM_SAMPLES = PRESETS["desk"][1]
 
 CONDITIONS = {
     "nominal": ImpairmentSpec(),

@@ -193,6 +193,7 @@ class SolverConfig:
     ||z - G x|| <= sqrt(noise_power) exactly, "regularized" adds
     0.5 ||z - G x||^2 and weights the trace by alpha (default
     sigma * sqrt(MN log MN) with sigma the per-sample noise deviation).
+    size_cap bounds MN in the full program, whose PSD block has side MN + 1.
     """
 
     mode: str = "noise-ball"
@@ -617,7 +618,7 @@ def solve_full_anm(
     M, N = geom.rows, geom.cols
     mn = M * N
     if mn > config.size_cap:
-        raise SizeCapError(f"full program of side {mn + 1} exceeds size_cap={config.size_cap}")
+        raise SizeCapError(f"MN = {mn} exceeds size_cap={config.size_cap} for the full program")
     if (x is None) == (z is None or G is None):
         raise ValueError("pass exactly one of x or the pair (z, G)")
     if x is None:

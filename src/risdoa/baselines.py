@@ -31,7 +31,7 @@ class AngleGrid:
         object.__setattr__(self, "azimuths_deg", np.asarray(self.azimuths_deg, float))
 
     @classmethod
-    def from_ranges(cls, elevation_range=(20.0, 80.0), azimuth_range=(-30.0, 30.0), step_deg=1.0):
+    def from_ranges(cls, elevation_range, azimuth_range, step_deg):
         if step_deg <= 0:
             raise ValueError("grid step must be positive")
         els = np.arange(elevation_range[0], elevation_range[1] + step_deg / 2, step_deg)
@@ -83,7 +83,7 @@ def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid)
     row_phase = np.exp(-2j * np.pi * geom.row_spacing * np.outer(m_idx, f_row.ravel()))
     col_phase = np.exp(-2j * np.pi * geom.col_spacing * np.outer(n_idx, f_col.ravel()))
     atoms = (row_phase[:, None, :] * col_phase[None, :, :]).reshape(geom.n_elements, -1)
-    matrix = schedule.codes.astype(complex) @ atoms
+    matrix = schedule.codes @ atoms
     # dropping the atoms and overwriting the responses with their unit-norm
     # conjugates keeps the build within the arrays the norm itself takes
     del atoms
@@ -246,7 +246,7 @@ def crb_numeric(
     """
     if noise_power <= 0.0:
         raise ValueError("noise power must be positive for a finite bound")
-    codes = schedule.codes.astype(complex)
+    codes = schedule.codes
     count = sources.count
     columns = []
     for k in range(count):

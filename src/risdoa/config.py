@@ -17,8 +17,6 @@ import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 from .model import (
     CodeSchedule,
@@ -63,6 +61,11 @@ class SourceSpec:
             len(self.elevations) != self.count or len(self.azimuths) != self.count
         ):
             raise ConfigError("fixed angle lists must match the source count")
+        # the angle domain of SourceSet, checked here so that no draw can leave it
+        for axis, lo, hi in (("elevation", 0.0, 180.0), ("azimuth", -90.0, 90.0)):
+            got = (*getattr(self, f"{axis}_range"), *(getattr(self, f"{axis}s") or ()))
+            if not all(lo <= v <= hi for v in got):
+                raise ConfigError(f"{axis}_range and {axis}s must be in [{lo:g}, {hi:g}]: {got}")
 
 
 @dataclass(frozen=True)
@@ -104,31 +107,10 @@ class ScenarioConfig:
         )
 
     def draw_sources(self, stream_seed: int) -> SourceSet:
-        spec = self.sources
-        if spec.elevations is not None:
-            rng = np.random.default_rng(stream_seed)
-            amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=spec.count))
-            return SourceSet(list(spec.elevations), list(spec.azimuths), amps)
-        return sample_sources(
-            spec.count,
-            spec.elevation_range,
-            spec.azimuth_range,
-            spec.min_separation_deg,
-            seed=stream_seed,
-        )
+        return sample_sources(self.sources, stream_seed)
 
     def draw_impairments(self, stream_seed: int) -> ImpairmentModel:
-        spec = self.impairments
-        if not spec.enabled:
-            return ImpairmentModel.identity(self.geometry.n_elements)
-        return sample_impairments(
-            self.geometry,
-            coupling_amp_range=spec.coupling_amp_range,
-            coupling_neighbors=spec.neighbors,
-            mismatch_amp_range=spec.mismatch_amp_range,
-            mismatch_phase_range=spec.mismatch_phase_range,
-            seed=stream_seed,
-        )
+        return sample_impairments(self.geometry, self.impairments, stream_seed)
 
 
 @dataclass(frozen=True)
@@ -139,7 +121,7 @@ class TrainSettings:
     epochs: int = 1000
     batch_size: int = 64
     learning_rate: float = 1e-4
-    hidden_widths: tuple[int, ...] | None = None
+    hidden_widths: tuple[int, ...] = (256, 256, 256, 256)
     snr_range: tuple[float, float] = (20.0, 50.0)
     seed: int = 77
 
@@ -154,9 +136,7 @@ class TrainSettings:
             )
         # the network depth is fixed at five affine layers
         widths = self.hidden_widths
-        if widths is not None and not (
-            _is_sequence(widths, 4) and all(_is_count(w) and w >= 1 for w in widths)
-        ):
+        if not (_is_sequence(widths, 4) and all(_is_count(w) and w >= 1 for w in widths)):
             raise ConfigError(f"hidden widths must be four positive integers, got {widths!r}")
         _check_range("SNR range", self.snr_range)
 
@@ -207,6 +187,11 @@ class PlanConfig:
         bad = [v for v in self.snr_list if math.isnan(v) or v == -math.inf]
         if bad:
             raise ConfigError(f"SNR values must be numbers or +inf, got {bad}")
+        # a repeated method or SNR would run and summarize its cells twice
+        for name in ("methods", "snr_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {values}")
         if not (self.solver_tolerance > 0.0 and self.solver_max_iterations > 0):
             raise ConfigError(
                 "solver tolerance and iteration cap must be positive, got "

@@ -93,9 +93,7 @@ def run_train(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = generate_dataset(
-        scenario, settings.dataset_size, snr_range=settings.snr_range, seed=settings.seed
-    )
+    dataset = generate_dataset(scenario, settings)
     initial = None
     prior_epochs = 0
     if resume is not None:
@@ -169,7 +167,7 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         dictionary = build_dictionary(scenario.geometry, schedule, grid)
     range_basis = kept.get("range_basis")
     if range_basis is None:
-        u, s, _ = np.linalg.svd(schedule.ideal_codes, full_matrices=False)
+        u, s, _ = np.linalg.svd(schedule.codes, full_matrices=False)
         rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
         range_basis = u[:, :rank]
     _CTX.update(
@@ -179,7 +177,6 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         params=params,
         schedule=schedule,
         dictionary=dictionary,
-        codes=schedule.ideal_codes,
         range_basis=range_basis,
         danm_config=SolverConfig(
             mode="noise-ball",
@@ -226,12 +223,12 @@ def _estimate(method: str, snap, recon, sources):
         return omp_estimate(data, ctx["dictionary"], count)
     if method == "dnn-danm":
         budget = _reconstruction_budget(recon, total_noise, ctx["range_basis"])
-        vars = solve_danm(recon, ctx["codes"], geom, ctx["danm_config"], noise_power=budget)
+        vars = solve_danm(recon, ctx["schedule"].codes, geom, ctx["danm_config"], noise_power=budget)
         est = estimate_doa(vars, geom, count)
         return est.elevations_deg, est.azimuths_deg
     if method == "anm-denoise":
         vars = solve_full_anm(
-            geom, ctx["full_config"], z=recon, G=ctx["codes"], noise_power=total_noise
+            geom, ctx["full_config"], z=recon, G=ctx["schedule"].codes, noise_power=total_noise
         )
         est = estimate_from_full(vars, geom, count)
         return est.elevations_deg, est.azimuths_deg

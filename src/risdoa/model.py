@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-_DEFAULT_NEIGHBORS = ((0, 1), (1, 0), (1, 1))
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,10 @@ class CodeSchedule:
         b.flags.writeable = False  # the cached views below are derived from it
         object.__setattr__(self, "bits", b)
 
-    @property
-    def codes(self) -> np.ndarray:
-        """Ideal reflection signs, +1 for bit 0 and -1 for bit 1."""
-        return 1.0 - 2.0 * self.bits.astype(float)
-
     @cached_property
-    def ideal_codes(self) -> np.ndarray:
-        """The signs as a read-only complex matrix, computed once per schedule."""
-        codes = self.codes.astype(complex)
+    def codes(self) -> np.ndarray:
+        """Ideal reflection signs (+1 for bit 0, -1 for bit 1), read-only complex, made once."""
+        codes = (1.0 - 2.0 * self.bits.astype(float)).astype(complex)
         codes.flags.writeable = False
         return codes
 
@@ -248,30 +243,25 @@ def build_code_schedule(num_samples: int, num_elements: int, seed: int) -> CodeS
     return CodeSchedule(bits=rng.integers(0, 2, size=(num_samples, num_elements), dtype=np.uint8))
 
 
-def sample_impairments(
-    geom: RisGeometry,
-    coupling_amp_range=(0.1, 0.4),
-    coupling_neighbors=_DEFAULT_NEIGHBORS,
-    mismatch_amp_range=(0.5, 1.5),
-    mismatch_phase_range=(-math.pi / 6, math.pi / 6),
-    seed: int = 0,
-) -> ImpairmentModel:
-    """Draw one hardware realization.
+def sample_impairments(geom: RisGeometry, spec, seed: int) -> ImpairmentModel:
+    """Draw one hardware realization of an ImpairmentSpec (the identity if it is disabled).
 
-    Coupling entries appear only from an element to its configured grid
+    Coupling entries appear only from an element to the spec's grid
     neighbors (offsets (drow, dcol) relative to the element), each with
     magnitude uniform in coupling_amp_range and phase uniform over the full
     circle. The matrix is directed: entry (i, j) is drawn independently of
     (j, i). Mismatch amplitude and phase are uniform per element.
     """
-    rng = np.random.default_rng(seed)
     n = geom.n_elements
-    amp = rng.uniform(*mismatch_amp_range, size=n)
-    phase = rng.uniform(*mismatch_phase_range, size=n)
-    src, dst, keep = _coupling_pairs(geom.rows, geom.cols, tuple(map(tuple, coupling_neighbors)))
+    if not spec.enabled:
+        return ImpairmentModel.identity(n)
+    rng = np.random.default_rng(seed)
+    amp = rng.uniform(*spec.mismatch_amp_range, size=n)
+    phase = rng.uniform(*spec.mismatch_phase_range, size=n)
+    src, dst, keep = _coupling_pairs(geom.rows, geom.cols, tuple(map(tuple, spec.neighbors)))
     # one (magnitude, angle) pair per directed neighbor link, drawn in the
     # order of the element-by-element loop the seeds were defined with
-    draws = rng.uniform(*_coupling_bounds(src.size, *coupling_amp_range))
+    draws = rng.uniform(*_coupling_bounds(src.size, *spec.coupling_amp_range))
     values = draws[0::2] * np.exp(1j * draws[1::2])
     coupling = np.eye(n, dtype=complex)
     coupling[src[keep], dst[keep]] = values[keep]
@@ -368,32 +358,31 @@ def synthesize_ideal(
     if schedule.element_count != geom.n_elements:
         raise ValueError("schedule width does not match the element count")
     incident = steering_matrix(geom, sources) @ sources.amplitudes
-    return _received(schedule.ideal_codes @ incident, snr_db, seed)
+    return _received(schedule.codes @ incident, snr_db, seed)
 
 
-def sample_sources(
-    count: int,
-    elevation_range=(20.0, 80.0),
-    azimuth_range=(-30.0, 30.0),
-    min_separation_deg: float = 0.0,
-    seed: int = 0,
-) -> SourceSet:
-    """Draw sources uniformly in the angle box with unit random-phase amplitudes.
+def sample_sources(spec, seed: int) -> SourceSet:
+    """Draw the sources of a SourceSpec with unit random-phase amplitudes.
 
-    min_separation_deg enforces a minimum Euclidean distance in the
-    (elevation, azimuth) plane via rejection; 0 disables the check.
+    Pinned angles are kept as given. Otherwise the angles are uniform in the
+    angle box, redrawn until every pair lies min_separation_deg apart in the
+    (elevation, azimuth) plane; ConfigError when 10000 draws all fall short.
     """
     rng = np.random.default_rng(seed)
+    count = spec.count
+    if spec.elevations is not None:
+        amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
+        return SourceSet(list(spec.elevations), list(spec.azimuths), amps)
     for _ in range(10_000):
-        el = rng.uniform(*elevation_range, size=count)
-        az = rng.uniform(*azimuth_range, size=count)
-        if count > 1 and min_separation_deg > 0.0:
+        el = rng.uniform(*spec.elevation_range, size=count)
+        az = rng.uniform(*spec.azimuth_range, size=count)
+        if count > 1 and spec.min_separation_deg > 0.0:
             d = np.hypot(el[:, None] - el[None, :], az[:, None] - az[None, :])
-            if np.min(d[_source_pairs(count)]) < min_separation_deg:
+            if np.min(d[_source_pairs(count)]) < spec.min_separation_deg:
                 continue
         amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=count))
         return SourceSet(elevations_deg=el, azimuths_deg=az, amplitudes=amps)
-    raise ValueError("could not draw sources satisfying the separation constraint")
+    raise ConfigError(f"no draw of {count} sources {spec.min_separation_deg} degrees apart")
 
 
 @lru_cache(maxsize=16)

@@ -41,7 +41,6 @@ from .seeding import child_seed
 
 _MAGIC = b"RDNM"
 _VERSION = 1
-_DEFAULT_HIDDEN = (256, 256, 256, 256)
 # Adam moment decays and denominator guard at the defaults of Kingma & Ba (2015)
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
@@ -169,7 +168,7 @@ def _unflatten(flat: np.ndarray, like: MlpParams) -> MlpParams:
     return MlpParams(weights=parts[:num], biases=parts[num:], feature_scale=like.feature_scale)
 
 
-def adam_init(params: MlpParams, learning_rate: float = 1e-4) -> AdamState:
+def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
     size = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
     return AdamState(learning_rate=learning_rate, step=0, m=np.zeros(size), v=np.zeros(size))
 
@@ -211,12 +210,7 @@ class TrainingSet:
     targets: np.ndarray
 
 
-def generate_dataset(
-    scenario: ScenarioConfig,
-    size: int,
-    snr_range=(20.0, 50.0),
-    seed: int = 0,
-) -> TrainingSet:
+def generate_dataset(scenario: ScenarioConfig, settings: TrainSettings) -> TrainingSet:
     """Build (impaired, ideal) snapshot pairs for one fixed code schedule.
 
     Per example: fresh sources (pinned scenario angles keep the network
@@ -225,8 +219,7 @@ def generate_dataset(
     target share the same unit noise draw, so the pair isolates the
     hardware distortion rather than the receiver noise.
     """
-    if size < 1:
-        raise ConfigError("dataset size must be positive")
+    size, seed = settings.dataset_size, settings.seed
     schedule = scenario.schedule()
     geom = scenario.geometry
     width = 2 * scenario.num_samples
@@ -236,7 +229,7 @@ def generate_dataset(
         sources = scenario.draw_sources(child_seed(seed, STREAM_SOURCES, i))
         impairments = scenario.draw_impairments(child_seed(seed, STREAM_IMPAIRMENTS, i))
         snr_rng = np.random.default_rng(child_seed(seed, STREAM_SNR, i))
-        snr_db = float(snr_rng.uniform(*snr_range))
+        snr_db = float(snr_rng.uniform(*settings.snr_range))
         noise_seed = child_seed(seed, STREAM_NOISE, i)
         impaired = synthesize_impaired(geom, schedule, impairments, sources, snr_db, noise_seed)
         ideal = synthesize_ideal(geom, schedule, sources, snr_db, noise_seed)
@@ -268,10 +261,10 @@ def train(
         if params.weights[0].shape[1] != dim:
             raise ConfigError("resume parameters do not match the dataset width")
     else:
-        hidden = tuple(settings.hidden_widths) if settings.hidden_widths else _DEFAULT_HIDDEN
         scale = np.sqrt(np.mean(0.5 * (inputs**2 + targets**2), axis=0))
         scale = np.maximum(scale, 1e-12)
-        params = init_mlp([dim, *hidden, dim], child_seed(settings.seed, STREAM_INIT), scale)
+        init_seed = child_seed(settings.seed, STREAM_INIT)
+        params = init_mlp([dim, *settings.hidden_widths, dim], init_seed, scale)
 
     x = inputs / scale
     y = targets / scale

@@ -53,6 +53,8 @@ pytestmark = pytest.mark.slow
 # axes and off the search grid; amplitudes, hardware, and noise stay
 # random per trial
 SCENE = SourceSpec(count=2, elevations=(45.4, 72.8), azimuths=(-22.3, 18.9))
+# two random sources 15 degrees apart in the default angle box
+RANDOM_PAIR = SourceSpec(2, (20.0, 80.0), (-30.0, 30.0), min_separation_deg=15.0)
 
 # widened-impairment conditions for the robustness checks
 SWEEPS = {
@@ -96,7 +98,7 @@ def _exact_recovery_run(csv_path) -> float:
     with open(csv_path, "w") as fh:
         fh.write("trial,k,theta_true,phi_true,theta_est,phi_est\n")
         for trial in range(50):
-            src = sample_sources(2, min_separation_deg=15.0, seed=1000 + trial)
+            src = sample_sources(RANDOM_PAIR, seed=1000 + trial)
             snap = synthesize_ideal(geom, sched, src, snr_db=math.inf, seed=0)
             vars = solve_danm(snap.samples, codes, geom, config, noise_power=0.0)
             est = estimate_doa(vars, geom, 2)
@@ -248,7 +250,9 @@ def test_04_gradient_check():
 def test_05_training_curve():
     scenario = desk_scenario(seed=4242, sources=SCENE)  # 8x8, 64 samples
     start = time.perf_counter()
-    dataset = generate_dataset(scenario, 2000, snr_range=(20.0, 50.0), seed=99)
+    dataset = generate_dataset(
+        scenario, TrainSettings(dataset_size=2000, snr_range=(20.0, 50.0), seed=99)
+    )
     settings = TrainSettings(hidden_widths=(64, 64, 64, 64), seed=77)
     _, history = train(settings, dataset)
     elapsed = time.perf_counter() - start
@@ -284,7 +288,7 @@ def test_07_complexity_gap():
     geom = RisGeometry(16, 16)
     sched = build_code_schedule(128, geom.n_elements, seed=5)
     codes = sched.codes.astype(complex)
-    src = sample_sources(2, min_separation_deg=15.0, seed=7)
+    src = sample_sources(RANDOM_PAIR, seed=7)
     snap = synthesize_ideal(geom, sched, src, snr_db=20.0, seed=3)
     budget = snap.noise_power * snap.samples.size
     config = SolverConfig(mode="noise-ball", tolerance=1e-5, max_iterations=20000)

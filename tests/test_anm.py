@@ -358,7 +358,7 @@ class TestCodeSvdCache:
         assert (info.misses, info.hits) == (2, 1)
 
     def test_changed_entry_misses_the_cache(self):
-        G = build_code_schedule(12, 9, seed=3).codes
+        G = build_code_schedule(12, 9, seed=3).codes.copy()
         anm._svd_of.cache_clear()
         self._solve(G, *self._observation(G, 3))
         G[5, 4] = -G[5, 4]  # same array and shape, new contents

@@ -30,6 +30,7 @@ from risdoa.model import (
 
 GEOM = RisGeometry(8, 8)
 SCHEDULE = build_code_schedule(64, GEOM.n_elements, seed=33)
+BOX = ((20.0, 80.0), (-30.0, 30.0))  # the default SourceSpec angle box
 
 
 def clean_snapshot(sources):
@@ -44,7 +45,7 @@ class TestGrid:
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            AngleGrid.from_ranges(step_deg=0.0)
+            AngleGrid.from_ranges(*BOX, 0.0)
 
     def test_dictionary_columns_are_code_responses(self):
         grid = AngleGrid(np.array([40.0, 60.0]), np.array([-10.0, 25.0]))
@@ -72,7 +73,7 @@ class TestSpectrum:
         # sidelobes, so grid peaks land near, not on, the true cells
         sources = SourceSet([35.0, 65.0], [-15.0, 20.0], [1.0, 1.0])
         snap = clean_snapshot(sources)
-        grid = AngleGrid.from_ranges(step_deg=1.0)
+        grid = AngleGrid.from_ranges(*BOX, 1.0)
         els, azs = grid_estimate(
             snap.samples, build_dictionary(GEOM, SCHEDULE, grid), 2, refine=False
         )
@@ -96,7 +97,7 @@ class TestRefinement:
     def test_off_grid_source_improves_with_refinement(self):
         sources = SourceSet([40.4], [9.7], [1.0 + 0j])
         snap = clean_snapshot(sources)
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=1.0))
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
         el_raw, az_raw = grid_estimate(snap.samples, d, 1, refine=False)
         el_ref, az_ref = grid_estimate(snap.samples, d, 1, refine=True)
         raw_err = math.hypot(el_raw[0] - 40.4, az_raw[0] - 9.7)
@@ -111,7 +112,7 @@ class TestOmp:
         # least-squares refit cancels it and the weak pick is exact
         sources = SourceSet([35.0, 65.0], [-15.0, 20.0], [1.0, 0.05j])
         snap = clean_snapshot(sources)
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=1.0))
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
         els, azs = omp_estimate(snap.samples, d, 2)
         np.testing.assert_array_equal(els, [35.0, 65.0])
         np.testing.assert_array_equal(azs, [-15.0, 20.0])
@@ -119,7 +120,7 @@ class TestOmp:
     def test_equal_power_sources_found_nearby(self):
         sources = SourceSet([35.0, 65.0], [-15.0, 20.0], [1.0, 1.0])
         snap = clean_snapshot(sources)
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=1.0))
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
         els, azs = omp_estimate(snap.samples, d, 2)
         for true_el, true_az in ((35.0, -15.0), (65.0, 20.0)):
             assert np.hypot(els - true_el, azs - true_az).min() < 2.5
@@ -127,7 +128,7 @@ class TestOmp:
     def test_single_pick_matches_spectrum_argmax(self):
         sources = SourceSet([52.0], [7.0], [1.0 + 0j])
         snap = clean_snapshot(sources)
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=1.0))
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
         els, azs = omp_estimate(snap.samples, d, 1)
         grid_els, grid_azs = grid_estimate(snap.samples, d, 1, refine=False)
         assert els[0] == grid_els[0] and azs[0] == grid_azs[0]
@@ -199,7 +200,7 @@ class TestCachedDictionary:
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
     def test_peak_frequencies_are_the_scaled_spatial_frequencies(self):
-        grid = AngleGrid.from_ranges(step_deg=3.0)
+        grid = AngleGrid.from_ranges(*BOX, 3.0)
         d = build_dictionary(GEOM, SCHEDULE, grid)
         el = np.deg2rad(grid.elevations_deg)[:, None]
         az = np.deg2rad(grid.azimuths_deg)[None, :]
@@ -207,7 +208,7 @@ class TestCachedDictionary:
         np.testing.assert_allclose(d.peak_col, GEOM.col_spacing * np.sin(el) * np.sin(az))
 
     def test_cached_arrays_are_read_only_and_matrix_is_a_copy(self):
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(step_deg=5.0))
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 5.0))
         for name in ("conjugate", "unit_conjugate", "norms", "peak_row", "peak_col"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(d, name)[...] = 0

@@ -105,6 +105,21 @@ class TestSimulate:
         assert "error: snapshot: num_samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            "count = 2\nelevations = 200 10\nazimuths = 0 0",  # pinned outside [0, 180]
+            "count = 4\nmin_separation_deg = 500",  # no draw can be this far apart
+            "count = 1\nelevation_range = -10 250",  # a box outside [0, 180]
+        ],
+    )
+    def test_out_of_domain_sources_exit_with_an_error(self, tmp_path, capsys, sources):
+        config = tmp_path / "bad.ini"
+        config.write_text(TINY_INI.replace("count = 1\nmin_separation_deg = 0", sources))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 class TestTrain:
     def test_smoke_and_metadata(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -137,6 +152,14 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.bin").exists()
+
+    def test_empty_hidden_widths_exit_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "no_widths.ini"
+        config.write_text(TINY_INI.replace("batch_size = 8", "batch_size = 8\nhidden_widths ="))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "hidden widths" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.bin").exists()
 
     def test_unknown_key_exits_with_an_error(self, tmp_path, capsys):
@@ -289,6 +312,14 @@ class TestBench:
         )
         assert code == 2
         assert "snr_list" in capsys.readouterr().err
+
+    def test_repeated_method_flag_exits_with_an_error(self, tiny_config, tmp_path, capsys):
+        code = main(
+            ["bench", "--config", str(tiny_config), "--out", str(tmp_path / "out"),
+             "--methods", "fft,fft"]
+        )
+        assert code == 2
+        assert "error: options: methods must not repeat" in capsys.readouterr().err
 
     def test_truncated_model_exits_with_an_error(self, tiny_config, tmp_path, capsys):
         cut = tmp_path / "cut.bin"

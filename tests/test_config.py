@@ -296,6 +296,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="solver"):
             PlanConfig(**field)
 
+    @pytest.mark.parametrize(
+        "field", [{"methods": ("fft", "omp", "fft")}, {"snr_list": (10.0, 20.0, 10.0)}]
+    )
+    def test_plan_entries_do_not_repeat(self, field):
+        # a repeat would run its cells twice and write duplicate summary rows
+        with pytest.raises(ConfigError, match="repeat"):
+            PlanConfig(**field)
+
     @pytest.mark.parametrize("field", ["dataset_size", "epochs", "batch_size"])
     @pytest.mark.parametrize("value", [0, -2, 1.5])
     def test_train_counts_are_positive_integers(self, field, value):
@@ -477,6 +485,20 @@ class TestMalformedFiles:
     def test_source_ranges_are_ordered_finite_pairs(self, name, bad):
         with pytest.raises(ConfigError, match=name):
             SourceSpec(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"elevation_range": (-10.0, 80.0)},
+            {"elevation_range": (20.0, 250.0)},
+            {"azimuth_range": (-95.0, 30.0)},
+            {"count": 2, "elevations": (200.0, 10.0), "azimuths": (0.0, 0.0)},
+            {"count": 1, "elevations": (40.0,), "azimuths": (90.5,)},
+        ],
+    )
+    def test_source_angles_stay_in_the_angle_domain(self, field):
+        with pytest.raises(ConfigError, match="must be in"):
+            SourceSpec(**field)
 
 
 # every key each section may hold; the fuzz mixes in unknown names too

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from risdoa.config import ImpairmentSpec, SourceSpec
 from risdoa.model import (
     CodeSchedule,
     ImpairmentModel,
@@ -138,7 +139,8 @@ _geometries = st.builds(
 
 
 def _any_sources(count, seed):
-    return sample_sources(count, (0.0, 180.0), (-90.0, 90.0), seed=seed)
+    spec = SourceSpec(count, (0.0, 180.0), (-90.0, 90.0), min_separation_deg=0.0)
+    return sample_sources(spec, seed=seed)
 
 
 _EDGE = 1e-8 + 1e-5 * abs(1.0)  # np.allclose's default tolerance at 1.0
@@ -221,9 +223,9 @@ class TestCodes:
         bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
         sched = CodeSchedule(bits=bits)
         assert bits.flags.writeable
-        for cached in (sched.bits, sched.ideal_codes, sched.reflects):
+        for cached in (sched.bits, sched.codes, sched.reflects):
             assert not cached.flags.writeable
-        assert sched.ideal_codes.tobytes() == sched.codes.astype(complex).tobytes()
+        assert sched.codes.dtype == complex and sched.codes is sched.codes
         np.testing.assert_array_equal(sched.reflects, bits == 0)
 
     def test_rejects_non_binary(self):
@@ -240,11 +242,11 @@ class TestImpairments:
     def test_identity_effective_codes_are_plain_signs(self):
         sched = build_code_schedule(8, 6, seed=3)
         eff = ImpairmentModel.identity(6).effective_codes(sched)
-        np.testing.assert_array_equal(eff, sched.codes.astype(complex))
+        assert eff.tobytes() == sched.codes.tobytes()
 
     def test_interior_element_has_three_neighbors(self):
         geom = RisGeometry(16, 16)
-        imp = sample_impairments(geom, seed=11)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=11)
         i = 5 * 16 + 5
         row = imp.coupling[i].copy()
         row[i] = 0.0
@@ -255,14 +257,14 @@ class TestImpairments:
 
     def test_bottom_right_corner_has_no_neighbors(self):
         geom = RisGeometry(4, 4)
-        imp = sample_impairments(geom, seed=11)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=11)
         row = imp.coupling[15].copy()
         row[15] = 0.0
         assert np.count_nonzero(row) == 0
 
     def test_draw_ranges(self):
         geom = RisGeometry(8, 8)
-        imp = sample_impairments(geom, seed=5)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=5)
         off = imp.coupling[~np.eye(64, dtype=bool)]
         mags = np.abs(off[off != 0])
         assert mags.size > 0
@@ -272,7 +274,7 @@ class TestImpairments:
         np.testing.assert_allclose(np.diag(imp.coupling), 1.0)
 
     def test_coupling_is_directed(self):
-        imp = sample_impairments(RisGeometry(4, 4), seed=2)
+        imp = sample_impairments(RisGeometry(4, 4), ImpairmentSpec(), seed=2)
         assert not np.allclose(imp.coupling, imp.coupling.conj().T)
 
     def test_coupling_diagonal_validation(self):
@@ -298,7 +300,7 @@ class TestImpairments:
     )
     def test_effective_codes_match_the_bit_test(self, geom, samples, code_seed, seed):
         sched = build_code_schedule(samples, geom.n_elements, code_seed)
-        imp = sample_impairments(geom, seed=seed)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=seed)
         mismatched = -imp.mismatch_amp * np.exp(1j * imp.mismatch_phase)
         ref = np.where(sched.bits == 0, 1.0 + 0.0j, mismatched[None, :])
         assert imp.effective_codes(sched).tobytes() == ref.tobytes()
@@ -316,7 +318,7 @@ class TestImpairments:
     def test_matches_the_element_loop_draw_for_draw(self, rows, cols, neighbors, seed):
         # duplicate offsets draw twice and the later draw lands
         geom = RisGeometry(rows, cols)
-        got = sample_impairments(geom, coupling_neighbors=tuple(neighbors), seed=seed)
+        got = sample_impairments(geom, ImpairmentSpec(neighbors=tuple(neighbors)), seed=seed)
         ref = _reference_impairments(geom, neighbors, seed)
         assert got.mismatch_amp.tobytes() == ref.mismatch_amp.tobytes()
         assert got.mismatch_phase.tobytes() == ref.mismatch_phase.tobytes()
@@ -325,7 +327,7 @@ class TestImpairments:
     def test_default_neighbors_match_the_element_loop(self):
         geom = RisGeometry(8, 8)
         for seed in range(50):
-            got = sample_impairments(geom, seed=seed)
+            got = sample_impairments(geom, ImpairmentSpec(), seed=seed)
             ref = _reference_impairments(geom, ((0, 1), (1, 0), (1, 1)), seed)
             assert got.coupling.tobytes() == ref.coupling.tobytes()
 
@@ -384,7 +386,7 @@ class TestSynthesis:
 
     def test_matches_straight_line_reference(self):
         geom, sched, src = self._scene()
-        imp = sample_impairments(geom, seed=4)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=4)
         snap = synthesize_impaired(geom, sched, imp, src, snr_db=np.inf, seed=0)
         ref = _reference_snapshot(geom, sched, imp, src)
         np.testing.assert_allclose(snap.samples, ref, rtol=1e-10)
@@ -392,7 +394,7 @@ class TestSynthesis:
 
     def test_mismatch_collapsed_to_ideal_leaves_only_coupling(self):
         geom, sched, src = self._scene()
-        imp = sample_impairments(geom, seed=4)
+        imp = sample_impairments(geom, ImpairmentSpec(), seed=4)
         collapsed = ImpairmentModel(
             mismatch_amp=np.ones(geom.n_elements),
             mismatch_phase=np.zeros(geom.n_elements),
@@ -462,14 +464,15 @@ class TestSourceDraws:
         seed=st.integers(0, 2**63 - 1),
     )
     def test_matches_the_rejection_loop(self, count, separation, seed):
-        got = sample_sources(count, (20.0, 80.0), (-30.0, 30.0), separation, seed=seed)
+        spec = SourceSpec(count, (20.0, 80.0), (-30.0, 30.0), min_separation_deg=separation)
+        got = sample_sources(spec, seed=seed)
         el, az, amps = _reference_sources(count, (20.0, 80.0), (-30.0, 30.0), separation, seed)
         assert got.elevations_deg.tobytes() == el.tobytes()
         assert got.azimuths_deg.tobytes() == az.tobytes()
         assert got.amplitudes.tobytes() == amps.tobytes()
 
     def test_ranges_and_separation(self):
-        src = sample_sources(3, (20.0, 80.0), (-30.0, 30.0), min_separation_deg=15.0, seed=8)
+        src = sample_sources(SourceSpec(3, (20.0, 80.0), (-30.0, 30.0), 15.0), seed=8)
         assert np.all((src.elevations_deg >= 20) & (src.elevations_deg <= 80))
         assert np.all((src.azimuths_deg >= -30) & (src.azimuths_deg <= 30))
         d = np.hypot(
@@ -480,8 +483,8 @@ class TestSourceDraws:
         np.testing.assert_allclose(np.abs(src.amplitudes), 1.0)
 
     def test_reproducible(self):
-        a = sample_sources(2, seed=3)
-        b = sample_sources(2, seed=3)
+        a = sample_sources(SourceSpec(min_separation_deg=0.0), seed=3)
+        b = sample_sources(SourceSpec(min_separation_deg=0.0), seed=3)
         np.testing.assert_array_equal(a.elevations_deg, b.elevations_deg)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 

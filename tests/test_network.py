@@ -242,7 +242,7 @@ class TestAdam:
 
     def test_step_returns_views_of_one_flat_vector(self):
         params = init_mlp([3, 4, 2], seed=1)
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=0.1)
         grads = Gradients(
             weights=[np.ones_like(w) for w in params.weights],
             biases=[np.ones_like(b) for b in params.biases],
@@ -282,7 +282,7 @@ class TestAdam:
 
     def test_zero_gradient_fresh_state_is_identity(self):
         params = init_mlp([2, 4, 4, 4, 4, 2], seed=9)
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=0.1)
         zero = Gradients(
             weights=[np.zeros_like(w) for w in params.weights],
             biases=[np.zeros_like(b) for b in params.biases],
@@ -312,29 +312,29 @@ def small_scenario(**kw):
 class TestDataset:
     def test_shapes_and_determinism(self):
         scenario = small_scenario()
-        a = generate_dataset(scenario, 5, seed=7)
-        b = generate_dataset(scenario, 5, seed=7)
+        a = generate_dataset(scenario, TrainSettings(dataset_size=5, seed=7))
+        b = generate_dataset(scenario, TrainSettings(dataset_size=5, seed=7))
         assert a.inputs.shape == (5, 16) and a.targets.shape == (5, 16)
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_seed_changes_data(self):
         scenario = small_scenario()
-        a = generate_dataset(scenario, 4, seed=7)
-        b = generate_dataset(scenario, 4, seed=8)
+        a = generate_dataset(scenario, TrainSettings(dataset_size=4, seed=7))
+        b = generate_dataset(scenario, TrainSettings(dataset_size=4, seed=8))
         assert not np.allclose(a.inputs, b.inputs)
 
     def test_disabled_impairments_make_pairs_identical(self):
         scenario = small_scenario(impairments=ImpairmentSpec(enabled=False))
-        data = generate_dataset(scenario, 4, seed=3)
+        data = generate_dataset(scenario, TrainSettings(dataset_size=4, seed=3))
         np.testing.assert_array_equal(data.inputs, data.targets)
 
     def test_impairments_separate_pairs(self):
-        data = generate_dataset(small_scenario(), 4, seed=3)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=4, seed=3))
         assert not np.allclose(data.inputs, data.targets)
 
     def test_examples_differ_from_each_other(self):
-        data = generate_dataset(small_scenario(), 3, seed=1)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=3, seed=1))
         assert not np.allclose(data.inputs[0], data.inputs[1])
 
 
@@ -346,7 +346,7 @@ class TestTraining:
             num_samples=16,
             seed=55,
         )
-        data = generate_dataset(scenario, 256, seed=9)
+        data = generate_dataset(scenario, TrainSettings(dataset_size=256, seed=9))
         settings = TrainSettings(
             dataset_size=256,
             epochs=150,
@@ -366,7 +366,7 @@ class TestTraining:
         assert err_fixed < err_raw
 
     def test_history_is_deterministic(self):
-        data = generate_dataset(small_scenario(), 32, seed=2)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=32, seed=2))
         settings = TrainSettings(
             epochs=3, batch_size=16, hidden_widths=(8, 8, 8, 8), seed=5
         )
@@ -375,7 +375,7 @@ class TestTraining:
         assert h1 == h2
 
     def test_resume_continues_from_given_params(self):
-        data = generate_dataset(small_scenario(), 32, seed=2)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=32, seed=2))
         settings = TrainSettings(
             epochs=2, batch_size=16, hidden_widths=(8, 8, 8, 8), seed=5
         )
@@ -385,12 +385,12 @@ class TestTraining:
         np.testing.assert_array_equal(resumed.feature_scale, params.feature_scale)
 
     def test_depth_is_enforced(self):
-        data = generate_dataset(small_scenario(), 8, seed=2)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=8, seed=2))
         with pytest.raises(ConfigError):
             train(TrainSettings(epochs=1, hidden_widths=(8, 8)), data)
 
     def test_bad_batch_rejected(self):
-        data = generate_dataset(small_scenario(), 8, seed=2)
+        data = generate_dataset(small_scenario(), TrainSettings(dataset_size=8, seed=2))
         with pytest.raises(ConfigError):
             train(TrainSettings(epochs=1, batch_size=0, hidden_widths=(8, 8, 8, 8)), data)
 
