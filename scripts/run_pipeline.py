@@ -20,6 +20,7 @@ in the same output directory.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,6 +41,10 @@ PRESETS = {
 # a fair shot at the desk-scale aperture
 SCENE = SourceSpec(count=2, elevations=(45.4, 72.8), azimuths=(-22.3, 18.9))
 
+# the network every preset trains; --dataset-size and --epochs override
+# its dataset size and epoch count
+TRAINING = TrainSettings(dataset_size=12000, hidden_widths=(64, 64, 64, 64), seed=77)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -47,8 +52,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--scale", choices=sorted(PRESETS), default="desk")
     parser.add_argument("--out", type=Path, default=None, help="default: results/<scale>")
-    parser.add_argument("--epochs", type=int, default=1000)
-    parser.add_argument("--dataset-size", type=int, default=12000)
+    parser.add_argument("--epochs", type=int, default=TRAINING.epochs)
+    parser.add_argument("--dataset-size", type=int, default=TRAINING.dataset_size)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--snr", default="0,5,10,15,20,25,30")
     parser.add_argument("--workers", type=int, default=1)
@@ -70,12 +75,7 @@ def main(argv=None) -> int:
     if args.skip_train and model_path.exists():
         print(f"reusing {model_path}")
     else:
-        settings = TrainSettings(
-            dataset_size=args.dataset_size,
-            epochs=args.epochs,
-            hidden_widths=(64, 64, 64, 64),
-            seed=77,
-        )
+        settings = dataclasses.replace(TRAINING, dataset_size=args.dataset_size, epochs=args.epochs)
         model_path, loss_path = run_train(train_scenario, settings, out)
         print(f"trained model -> {model_path}")
         print(f"loss history  -> {loss_path}")

@@ -14,9 +14,10 @@ import math
 import sys
 from pathlib import Path
 
-from risdoa.config import ImpairmentSpec, PlanConfig, TrainSettings, desk_scenario
+from risdoa.config import ImpairmentSpec, PlanConfig, desk_scenario
 from risdoa.harness import run_bench, run_train
-from run_pipeline import PRESETS, SCENE  # the sibling script; its directory is on sys.path
+# the sibling script; its directory is on sys.path
+from run_pipeline import PRESETS, SCENE, TRAINING
 
 NUM_SAMPLES = PRESETS["desk"][1]
 
@@ -42,10 +43,7 @@ def main() -> int:
     model_path = args.model
     if model_path is None or not model_path.exists():
         train_scenario = desk_scenario(seed=args.seed, num_samples=NUM_SAMPLES)
-        settings = TrainSettings(
-            dataset_size=12000, hidden_widths=(64, 64, 64, 64), seed=77
-        )
-        model_path, _ = run_train(train_scenario, settings, args.out)
+        model_path, _ = run_train(train_scenario, TRAINING, args.out)
         print(f"trained model -> {model_path}")
     else:
         print(f"reusing {model_path}")

@@ -23,6 +23,24 @@ cone, (3) a scaled dual update, with residual-balanced step adaptation
 (Boyd et al. 2011). The atomic mode, which evaluates the atomic norm of a
 given x, couples the border to that fixed x.
 
+The PSD projection is most of a solve's cost. Near a sparse solution the
+iterate has few positive eigenvalues (Boyd et al. 2011, sec. 4.4), and the
+projection computes only those eigenpairs, with LAPACK's zheevr over the
+interval (0, inf). For such a partial request zheevr finds the eigenvalues
+by bisection and their vectors by inverse iteration (its MRRR path, Dhillon
+& Parlett 2004, serves the full spectrum), so the saving over a full
+eigendecomposition shrinks as the positive share grows: on a 2-vCPU Xeon
+about a fifth of the side-65 full program's eigenvalues are positive and
+the projection is 2.3x cheaper, while on the 16 x 16 decoupled program
+(side 32) about half are, and it costs about twice a full eigh.
+
+zheevr runs in scipy's OpenBLAS and the matrix products in numpy's; the two
+libraries keep separate thread pools, which under default threads
+oversubscribe the cores on these small matrices. A solve therefore runs
+with both pools set to one thread and puts their thread counts back when it
+returns or raises; a pool whose library or thread functions cannot be found
+is left alone.
+
 In noise-ball mode step (1) projects the observed block onto the residual
 ball. In the SVD basis of G = U diag(s) V^H the projection of a point with
 range residual r is a one-parameter family, and its multiplier lam >= 0
@@ -43,12 +61,17 @@ fallbacks.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
+import scipy
+from scipy.linalg.lapack import zheevr
 from scipy.optimize import brentq
 
 from .errors import (
@@ -136,11 +159,64 @@ def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def project_psd(A: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix to the Hermitian part."""
+    """Nearest (Frobenius) positive semidefinite matrix to the Hermitian part.
+
+    The projection keeps the eigenpairs with positive eigenvalue and drops
+    the rest, so only those m pairs are computed (zheevr over (0, inf)) and
+    the result is V_m diag(w_m) V_m^H; m = 0 gives the zero matrix. A
+    failed eigensolve raises DegenerateInputError.
+    """
     H = _hermitian(np.asarray(A, dtype=complex))
-    lam, V = np.linalg.eigh(H)
-    lam = np.maximum(lam, 0.0)
-    return _hermitian((V * lam) @ V.conj().T)
+    w, V, m, _, info = zheevr(H, compute_v=1, range="V", vl=0.0, vu=np.inf)
+    if info != 0:
+        raise DegenerateInputError(f"PSD projection: LAPACK zheevr failed with info = {info}")
+    V = V[:, :m]
+    return _hermitian((V * w[:m]) @ V.conj().T)
+
+
+# numpy and scipy each load their own OpenBLAS: the directory of each
+# library, its file name pattern and the suffix of its thread functions
+_BLAS_POOLS = (
+    (Path(np.__file__).parent.parent / "numpy.libs", "libscipy_openblas64_*.so", "64_"),
+    (Path(scipy.__file__).parent.parent / "scipy.libs", "libscipy_openblas*.so", ""),
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each loaded OpenBLAS in _BLAS_POOLS.
+
+    A library is opened only if the process has loaded it already, and a
+    pool whose library or functions are missing is left out.
+    """
+    controls = []
+    for directory, pattern, suffix in _BLAS_POOLS:
+        for path in sorted(directory.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+            break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every found OpenBLAS pool on one thread, then restore the counts."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +591,8 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
 
     project_top and project_bottom map the Hermitian diagonal blocks onto
     their structure, data couples the border to the observation. Returns
-    the final structured iterate and its diagnostics.
+    the final structured iterate and its diagnostics. Runs with both BLAS
+    pools on one thread (_one_blas_thread).
     """
     dim = k + data.size // k  # the border holds the coupled x as a k-row block
     Q = np.zeros((dim, dim), dtype=complex)
@@ -523,37 +600,39 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
     dual = np.zeros_like(Q)
     rho = 1.0
     history = []
-    for it in range(1, config.max_iterations + 1):
-        Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)
-        Z_prev = Z
-        Z = project_psd(Q + dual)
-        R = Q - Z
-        dual += R
-        r_pri = _fro(R)
-        r_dual = rho * _fro(Z - Z_prev)
-        if it == 1 or it % _RECORD_EVERY == 0:
-            history.append((it, r_pri, r_dual))
-        scale_pri = max(_fro(Q), _fro(Z), _FLOOR)
-        scale_dual = max(rho * _fro(dual), _FLOOR)
-        if r_pri <= config.tolerance * scale_pri and r_dual <= config.tolerance * scale_dual:
-            history.append((it, r_pri, r_dual))
-            break
-        if it % _ADAPT_EVERY == 0:
-            if r_pri > 10.0 * r_dual and rho < 1e8:
-                rho *= 2.0
-                dual /= 2.0
-            elif r_dual > 10.0 * r_pri and rho > 1e-8:
-                rho /= 2.0
-                dual *= 2.0
-    else:  # max_iterations >= 1, so the loop ran and set it, r_pri and r_dual
-        raise SolverConvergenceError(
-            f"{label} splitting did not reach tolerance {config.tolerance:g} "
-            f"in {config.max_iterations} iterations "
-            f"(primal {r_pri:.3e}, dual {r_dual:.3e})",
-            iterations=it,
-            primal_residual=r_pri,
-            dual_residual=r_dual,
-        )
+    with _one_blas_thread():
+        for it in range(1, config.max_iterations + 1):
+            Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)
+            Z_prev = Z
+            Z = project_psd(Q + dual)
+            R = Q - Z
+            dual += R
+            r_pri = _fro(R)
+            r_dual = rho * _fro(Z - Z_prev)
+            if it == 1 or it % _RECORD_EVERY == 0:
+                history.append((it, r_pri, r_dual))
+            scale_pri = max(_fro(Q), _fro(Z), _FLOOR)
+            scale_dual = max(rho * _fro(dual), _FLOOR)
+            if r_pri <= config.tolerance * scale_pri and r_dual <= config.tolerance * scale_dual:
+                history.append((it, r_pri, r_dual))
+                break
+            if it % _ADAPT_EVERY == 0:
+                if r_pri > 10.0 * r_dual and rho < 1e8:
+                    rho *= 2.0
+                    dual /= 2.0
+                elif r_dual > 10.0 * r_pri and rho > 1e-8:
+                    rho /= 2.0
+                    dual *= 2.0
+        else:  # max_iterations >= 1, so the loop ran and set it, r_pri and r_dual
+            raise SolverConvergenceError(
+                f"{label} splitting did not reach tolerance {config.tolerance:g} "
+                f"in {config.max_iterations} iterations "
+                f"(primal {r_pri:.3e}, dual {r_dual:.3e})",
+                iterations=it,
+                primal_residual=r_pri,
+                dual_residual=r_dual,
+            )
+        min_eigenvalue = float(np.linalg.eigvalsh(Q)[0])
     diagnostics = SolverDiagnostics(
         iterations=it,
         converged=True,
@@ -561,7 +640,7 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
         dual_residual=r_dual,
         trace_objective=0.5 * float(np.trace(Q[:k, :k]).real + np.trace(Q[k:, k:]).real),
         data_residual=data.residual(Q[:k, k:].reshape(-1)),
-        min_eigenvalue=float(np.linalg.eigvalsh(Q)[0]),
+        min_eigenvalue=min_eigenvalue,
         rho_final=rho,
         mode=data.mode,
         residual_history=tuple(history),

@@ -62,8 +62,6 @@ _GRID_METHODS = frozenset({"fft", "omp", "fft-denoise", "omp-denoise"})
 
 def run_simulate(scenario: ScenarioConfig, out_dir, ideal: bool = False) -> Path:
     """Write one snapshot of the scenario as CSV plus a JSON sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sources = scenario.draw_sources(child_seed(scenario.seed, STREAM_SOURCES, 0))
     noise_seed = child_seed(scenario.seed, STREAM_NOISE, 0)
     schedule = scenario.schedule()
@@ -74,6 +72,9 @@ def run_simulate(scenario: ScenarioConfig, out_dir, ideal: bool = False) -> Path
         snap = synthesize_impaired(
             scenario.geometry, schedule, impairments, sources, scenario.snr_db, noise_seed
         )
+    # the directory is made only once every draw has succeeded
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / ("snapshot_ideal.csv" if ideal else "snapshot.csv")
     write_snapshot(snap, path, scenario_hash=scenario_hash(scenario))
     return path

@@ -139,6 +139,128 @@ class TestPsdProjection:
         lam = np.linalg.eigvalsh(project_psd(A))
         assert lam.min() >= -1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), side=st.integers(1, 70), positives=st.integers(0, 70))
+    def test_matches_the_full_eigendecomposition(self, seed, side, positives):
+        # a Hermitian matrix with a chosen count of positive eigenvalues plus a
+        # skew-Hermitian part, which the projection must ignore
+        rng = np.random.default_rng(seed)
+        V, _ = np.linalg.qr(_rand_complex(rng, side, side))
+        signs = np.where(np.arange(side) < positives, 1.0, -1.0)
+        S = _rand_complex(rng, side, side)
+        A = (V * (signs * rng.uniform(0.01, 3.0, side))) @ V.conj().T + (S - S.conj().T)
+        lam, W = np.linalg.eigh((A + A.conj().T) / 2.0)
+        expected = (W * np.maximum(lam, 0.0)) @ W.conj().T
+        P = project_psd(A)
+        scale = np.linalg.norm(A)
+        assert np.linalg.norm(P - expected) <= 1e-12 * scale
+        assert np.array_equal(P, P.conj().T)
+        assert np.linalg.eigvalsh(P)[0] >= -1e-12 * scale
+
+    def test_negative_definite_gives_the_zero_matrix(self):
+        rng = np.random.default_rng(6)
+        B = _rand_complex(rng, 7, 7)
+        P = project_psd(-(B @ B.conj().T) - 0.1 * np.eye(7))
+        assert np.array_equal(P, np.zeros((7, 7)))
+
+    def test_positive_definite_is_kept_whole(self):
+        rng = np.random.default_rng(7)
+        B = _rand_complex(rng, 9, 9)
+        A = B @ B.conj().T + 0.1 * np.eye(9)
+        assert np.linalg.norm(project_psd(A) - A) <= 1e-12 * np.linalg.norm(A)
+
+    def test_exact_zero_eigenvalues(self):
+        assert np.array_equal(project_psd(np.zeros((4, 4))), np.zeros((4, 4)))
+        np.testing.assert_array_equal(
+            project_psd(np.diag([2.0, 0.0, 0.0, -1.0])), np.diag([2.0, 0.0, 0.0, 0.0])
+        )
+        rng = np.random.default_rng(8)
+        V, _ = np.linalg.qr(_rand_complex(rng, 5, 5))
+        lam = np.array([1.5, 0.0, 0.0, -0.5, 0.7])
+        expected = (V * np.maximum(lam, 0.0)) @ V.conj().T
+        P = project_psd((V * lam) @ V.conj().T)
+        assert np.linalg.norm(P - expected) <= 1e-12 * np.linalg.norm(lam)
+
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        def failing(H, **kwargs):
+            n = H.shape[0]
+            return np.zeros(n), np.zeros((n, n), complex), 1, np.zeros(2 * n, np.int32), 1
+
+        monkeypatch.setattr(anm, "zheevr", failing)
+        with pytest.raises(DegenerateInputError, match=r"PSD projection.*info = 1"):
+            project_psd(np.eye(3))
+        # a solve stops with the error instead of returning a partial iterate
+        geom = RisGeometry(2, 2)
+        with pytest.raises(DegenerateInputError, match="PSD projection"):
+            solve_danm(np.ones(4), np.eye(4), geom, noise_power=0.0)
+
+
+@pytest.fixture
+def blas_pools():
+    """Thread controls of numpy's and scipy's OpenBLAS, each set to two threads."""
+    controls = anm._blas_thread_controls()
+    if len(controls) < 2:
+        pytest.skip("the thread functions of numpy's and scipy's OpenBLAS are not both found")
+    saved = _thread_counts(controls)
+    for _, put in controls:
+        put(2)
+    yield controls
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+def _thread_counts(controls) -> list:
+    return [get() for get, _ in controls]
+
+
+def _record_threads_in_projection(monkeypatch, controls) -> list:
+    """Swap in a project_psd that notes the pools' thread counts on each call."""
+    seen = []
+
+    def stand_in(A):
+        seen.append(_thread_counts(controls))
+        return project_psd(A)
+
+    monkeypatch.setattr(anm, "project_psd", stand_in)
+    return seen
+
+
+def _small_danm(config=None):
+    geom = RisGeometry(3, 3)
+    G = build_code_schedule(9, 9, seed=1).codes
+    return solve_danm(G @ steering_vector(geom, 60.0, 10.0), G, geom, config, noise_power=0.0)
+
+
+class TestBlasThreadPin:
+    def test_both_pools_run_one_thread_inside_a_solve(self, blas_pools, monkeypatch):
+        seen = _record_threads_in_projection(monkeypatch, blas_pools)
+        _small_danm()
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert _thread_counts(blas_pools) == [2, 2]
+
+    def test_counts_restored_after_a_convergence_error(self, blas_pools, monkeypatch):
+        seen = _record_threads_in_projection(monkeypatch, blas_pools)
+        with pytest.raises(SolverConvergenceError):
+            _small_danm(SolverConfig(max_iterations=2))
+        assert seen == [[1, 1], [1, 1]]
+        assert _thread_counts(blas_pools) == [2, 2]
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_a_missing_pool_is_left_alone(self, blas_pools, monkeypatch, tmp_path, missing):
+        numpy_dir, pattern, suffix = anm._BLAS_POOLS[0]
+        absent = (tmp_path, pattern, suffix) if missing == "library" else (numpy_dir, pattern, "_x")
+        monkeypatch.setattr(anm, "_BLAS_POOLS", (absent, anm._BLAS_POOLS[1]))
+        anm._blas_thread_controls.cache_clear()
+        try:
+            assert len(anm._blas_thread_controls()) == 1  # scipy's pool only
+            seen = _record_threads_in_projection(monkeypatch, blas_pools)
+            assert _small_danm().diagnostics.converged
+        finally:
+            anm._blas_thread_controls.cache_clear()
+        # numpy's pool keeps its two threads throughout; scipy's is pinned
+        assert seen and all(counts == [2, 1] for counts in seen)
+        assert _thread_counts(blas_pools) == [2, 2]
+
 
 class TestMarginals:
     def test_atom_construction_oracle(self):
@@ -620,5 +742,5 @@ def test_every_solver_path_is_byte_pinned():
     # decoupled and full programs in both denoise modes plus the atomic mode;
     # a refactor of the splitting code must leave every bit of them alone
     assert _solution_digest(_pinned_solves()) == (
-        "7cc5a7efd062bdbb27d5cca6609d7946a70dd760886ced4fa6e8dd6c94a3002b"
+        "85d7734b51258d0807bdcc7a16dbd6616e0fffc7ed18d22920800b0c70142b82"
     )

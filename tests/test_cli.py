@@ -119,6 +119,7 @@ class TestSimulate:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 class TestTrain:
     def test_smoke_and_metadata(self, tiny_config, tmp_path):
