@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from risdoa.config import PlanConfig, SourceSpec, TrainSettings, desk_scenario, large_scenario
-from risdoa.harness import run_bench, run_compare, run_train
+from risdoa.harness import compare_line, run_bench, run_compare, run_train
 
 # Per scale: the scenario factory, samples per snapshot (comfortably more
 # than the surface elements, the same 3:2 ratio at both scales, so energy
@@ -91,8 +91,7 @@ def main(argv=None) -> int:
     paths = run_bench(bench_scenario, plan, out, model_path=model_path)
     print(f"benchmark     -> {paths.summary}")
     for row in run_compare(paths.summary, out_path=out / "compare.csv"):
-        rmse = "n/a" if row["rmse_deg"] is None else f"{row['rmse_deg']:.4f} deg"
-        print(f"  snr {row['snr_db']:>5g}  {row['rank']:>6}  {row['method']:<12} {rmse}")
+        print(f"  snr {row['snr_db']:>5g}  {compare_line(row)}")
     return 0
 
 

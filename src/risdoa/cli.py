@@ -18,7 +18,7 @@ from .config import (
     override,
 )
 from .errors import RisDoaError
-from .harness import METHOD_NAMES, run_bench, run_compare, run_simulate, run_train
+from .harness import METHOD_NAMES, compare_line, run_bench, run_compare, run_simulate, run_train
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -129,8 +129,7 @@ def _cmd_compare(args) -> int:
         if row["snr_db"] != current:
             current = row["snr_db"]
             print(f"SNR {current:g} dB")
-        rmse = "n/a" if row["rmse_deg"] is None else f"{row['rmse_deg']:.4f} deg"
-        print(f"  {row['rank']:>6}  {row['method']:<12} {rmse}")
+        print(f"  {compare_line(row)}")
     if args.out:
         print(f"wrote {args.out}")
     return 0

@@ -135,6 +135,7 @@ class TrialRecord:
     squared_error: float | None  # matched total squared error (deg^2), None on failure
     seconds: float
     error: str = ""
+    iterations: int | None = None  # splitting iterations of a solver method's solve
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,11 @@ def _reconstruction_budget(recon, nominal: float, basis: np.ndarray) -> float:
 
 
 def _estimate(method: str, snap, recon, sources):
-    """Run one estimator; returns (elevations, azimuths) or a bound value."""
+    """Run one estimator; returns (elevations, azimuths) or a bound value.
+
+    The second return value is the solver diagnostics of dnn-danm and
+    anm-denoise, None for every other method.
+    """
     ctx = _CTX
     scenario = ctx["scenario"]
     geom = scenario.geometry
@@ -219,22 +224,22 @@ def _estimate(method: str, snap, recon, sources):
     total_noise = snap.noise_power * snap.samples.size
     data = recon if method in _MODEL_METHODS else snap.samples
     if method in ("fft", "fft-denoise"):
-        return grid_estimate(data, ctx["dictionary"], count, refine=True)
+        return grid_estimate(data, ctx["dictionary"], count, refine=True), None
     if method in ("omp", "omp-denoise"):
-        return omp_estimate(data, ctx["dictionary"], count)
+        return omp_estimate(data, ctx["dictionary"], count), None
     if method == "dnn-danm":
         budget = _reconstruction_budget(recon, total_noise, ctx["range_basis"])
         vars = solve_danm(recon, ctx["schedule"].codes, geom, ctx["danm_config"], noise_power=budget)
         est = estimate_doa(vars, geom, count)
-        return est.elevations_deg, est.azimuths_deg
+        return (est.elevations_deg, est.azimuths_deg), vars.diagnostics
     if method == "anm-denoise":
         vars = solve_full_anm(
             geom, ctx["full_config"], z=recon, G=ctx["schedule"].codes, noise_power=total_noise
         )
         est = estimate_from_full(vars, geom, count)
-        return est.elevations_deg, est.azimuths_deg
+        return (est.elevations_deg, est.azimuths_deg), vars.diagnostics
     if method == "crb":
-        return crb_numeric(geom, ctx["schedule"], sources, snap.noise_power)
+        return crb_numeric(geom, ctx["schedule"], sources, snap.noise_power), None
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -259,10 +264,10 @@ def _run_cell(task):
     count = sources.count
     records = []
     for method in plan.methods:
-        els, azs, sq, error = (), (), None, ""
+        els, azs, sq, error, diagnostics = (), (), None, "", None
         start = time.perf_counter()
         try:
-            result = _estimate(method, snap, recon, sources)
+            result, diagnostics = _estimate(method, snap, recon, sources)
         except (RisDoaError, ValueError, np.linalg.LinAlgError) as err:
             error = f"{type(err).__name__}: {err}"
         seconds = time.perf_counter() - start
@@ -272,7 +277,10 @@ def _run_cell(task):
         elif not error:
             sq = matched_squared_error(*result, true_el, true_az)
             els, azs = (tuple(float(v) for v in a) for a in result)
-        records.append(TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error))
+        iterations = None if diagnostics is None else diagnostics.iterations
+        records.append(
+            TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error, iterations)
+        )
     return records
 
 
@@ -347,11 +355,12 @@ def _trial_rmse(record: TrialRecord, count: int) -> float:
 
 def _write_trials(path, records) -> None:
     with open(path, "w") as fh:
-        fh.write("method,snr_db,trial,rmse_deg,seconds,error\n")
+        fh.write("method,snr_db,trial,rmse_deg,seconds,iterations,error\n")
         for r in records:
             count = len(r.true_el)
             rmse = "" if r.squared_error is None else repr(_trial_rmse(r, count))
-            fh.write(f"{r.method},{r.snr_db!r},{r.trial},{rmse},{r.seconds!r},{r.error}\n")
+            iterations = "" if r.iterations is None else r.iterations
+            fh.write(f"{r.method},{r.snr_db!r},{r.trial},{rmse},{r.seconds!r},{iterations},{r.error}\n")
 
 
 def _write_summary(path, records, plan: PlanConfig) -> None:
@@ -384,11 +393,13 @@ def _write_timing(path, records, plan: PlanConfig) -> None:
 def run_compare(summary_path, out_path=None):
     """Rank estimators per SNR from a summary.csv, with the bound alongside.
 
-    Returns a list of row dicts (snr_db, rank, method, rmse_deg). A method
-    with no surviving trial (empty RMSE) follows the ranked ones with rank
-    "failed" and rmse_deg None; the bound comes last with rank "bound".
-    Raises ConfigError when the file is missing columns or contains no
-    estimator rows.
+    Returns a list of row dicts (snr_db, rank, method, rmse_deg, trials,
+    failures); the ranking is by RMSE over the surviving trials, and each
+    row carries its trial and failure counts beside it. A method with no
+    surviving trial (empty RMSE) follows the ranked ones with rank "failed"
+    and rmse_deg None; the bound comes last with rank "bound". Raises
+    ConfigError when the file is missing columns or contains no estimator
+    rows.
     """
     summary_path = Path(summary_path)
     if summary_path.is_dir():
@@ -397,7 +408,7 @@ def run_compare(summary_path, out_path=None):
         raise ConfigError(f"summary file not found: {summary_path}")
     with open(summary_path) as fh:
         reader = csv.DictReader(fh)
-        required = {"method", "snr_db", "rmse_deg"}
+        required = {"method", "snr_db", "rmse_deg", "trials", "failures"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError("summary file is missing required columns")
         rows = list(reader)
@@ -406,9 +417,10 @@ def run_compare(summary_path, out_path=None):
         try:
             snr = float(row["snr_db"])
             rmse = float(row["rmse_deg"]) if row["rmse_deg"] else None
+            counts = int(row["trials"]), int(row["failures"])
         except ValueError as err:
             raise ConfigError(f"malformed summary row {row!r}") from err
-        parsed.append((row["method"], snr, rmse))
+        parsed.append((row["method"], snr, rmse, *counts))
     estimators = [p for p in parsed if p[0] != "crb"]
     if not estimators:
         raise ConfigError("summary contains no estimator rows")
@@ -419,12 +431,26 @@ def run_compare(summary_path, out_path=None):
         failed = [p for p in cell if p[2] is None]
         bound = [p for p in parsed if p[0] == "crb" and p[1] == snr]
         ranks = [str(r) for r in range(1, len(ranked) + 1)] + ["failed"] * len(failed)
-        for rank, (method, _, rmse) in zip(ranks + ["bound"] * len(bound), ranked + failed + bound):
-            out_rows.append({"snr_db": snr, "rank": rank, "method": method, "rmse_deg": rmse})
+        for rank, (method, _, rmse, trials, failures) in zip(
+            ranks + ["bound"] * len(bound), ranked + failed + bound
+        ):
+            out_rows.append(
+                {"snr_db": snr, "rank": rank, "method": method, "rmse_deg": rmse,
+                 "trials": trials, "failures": failures}
+            )
     if out_path is not None:
         with open(out_path, "w") as fh:
-            fh.write("snr_db,rank,method,rmse_deg\n")
+            fh.write("snr_db,rank,method,rmse_deg,trials,failures\n")
             for row in out_rows:
                 rmse = "" if row["rmse_deg"] is None else repr(row["rmse_deg"])
-                fh.write(f"{row['snr_db']!r},{row['rank']},{row['method']},{rmse}\n")
+                fh.write(
+                    f"{row['snr_db']!r},{row['rank']},{row['method']},{rmse},"
+                    f"{row['trials']},{row['failures']}\n"
+                )
     return out_rows
+
+
+def compare_line(row: dict) -> str:
+    """One printed ranking row: rank, method, RMSE and the failed share of its trials."""
+    rmse = "n/a" if row["rmse_deg"] is None else f"{row['rmse_deg']:.4f} deg"
+    return f"{row['rank']:>6}  {row['method']:<12} {rmse:<12} {row['failures']}/{row['trials']} failed"

@@ -1,5 +1,6 @@
 import math
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -683,6 +684,117 @@ class TestFullSolver:
             solve_full_anm(geom, x=np.zeros(4), z=np.zeros(4), G=np.eye(4))
 
 
+def _desk_problem(seed: int, snr_db: float):
+    """A seeded two-source snapshot on the 8 x 8 desk surface with 96 codes."""
+    geom = RisGeometry(8, 8)
+    sched = build_code_schedule(96, geom.n_elements, seed=5)
+    rng = np.random.default_rng(seed)
+    src = SourceSet(
+        elevations_deg=np.array([40.0, 70.0]) + 10.0 * rng.random(2),
+        azimuths_deg=np.array([-30.0, 10.0]) + 15.0 * rng.random(2),
+        amplitudes=np.array([1.0, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]),
+    )
+    snap = synthesize_ideal(geom, sched, src, snr_db=snr_db, seed=seed)
+    return snap.samples, sched.codes, geom, snap.noise_power * snap.samples.size
+
+
+def _bordered(sol) -> np.ndarray:
+    """The solution's bordered matrix, for either program."""
+    if hasattr(sol, "X"):
+        return np.block([[sol.T_x, sol.X], [sol.X.conj().T, sol.T_y]])
+    return np.block([[sol.T, sol.x[:, None]], [sol.x.conj()[None, :], np.array([[sol.t]])]])
+
+
+def _relative_distance(a, b) -> float:
+    A, B = _bordered(a), _bordered(b)
+    return float(np.linalg.norm(A - B) / np.linalg.norm(B))
+
+
+def _full_denoise_problem():
+    """The 3 x 3 full program of test_denoise_mode_recovers_target; its rho is rescaled."""
+    geom = RisGeometry(3, 3)
+    G = build_code_schedule(12, 9, seed=10).codes
+    return geom, G, G @ steering_vector(geom, 65.0, -20.0)
+
+
+class TestAndersonAcceleration:
+    @pytest.mark.parametrize("coefficients", ["misleading", "oversized", "failed solve"])
+    def test_bad_extrapolation_is_refused_and_the_solve_still_agrees(self, monkeypatch, coefficients):
+        z, G, geom, budget = _desk_problem(0, 20.0)
+        config = SolverConfig()
+        unforced = solve_danm(z, G, geom, config, noise_power=budget)
+        weights = anm._anderson_weights
+        memory = []
+
+        def forced(gram, rhs):
+            memory.append(gram.shape[0])
+            if len(memory) > 5:
+                return weights(gram, rhs)
+            if coefficients == "misleading":  # within the cap; only the residual check can refuse it
+                return np.full(gram.shape[0], -50.0)
+            if coefficients == "oversized":
+                return np.full(gram.shape[0], 1e5)
+            return None
+
+        monkeypatch.setattr(anm, "_anderson_weights", forced)
+        sol = solve_danm(z, G, geom, config, noise_power=budget)
+        d = sol.diagnostics
+        assert d.converged and d.anderson_rejections == 5
+        # each refusal clears the history, so the next extrapolation has one difference
+        assert memory[:6] == [1] * 6
+        assert _relative_distance(sol, unforced) <= config.tolerance
+
+    def test_rescaled_rho_restarts_with_empty_history(self, monkeypatch):
+        events = []
+        weights = anm._anderson_weights
+        step = anm._structure_step
+
+        def record_memory(gram, rhs):
+            events.append(("memory", gram.shape[0]))
+            return weights(gram, rhs)
+
+        def record_rho(V, rho, *args):
+            events.append(("rho", rho))
+            return step(V, rho, *args)
+
+        monkeypatch.setattr(anm, "_anderson_weights", record_memory)
+        monkeypatch.setattr(anm, "_structure_step", record_rho)
+        geom, G, z = _full_denoise_problem()
+        sol = solve_full_anm(geom, SolverConfig(mode="regularized", alpha=1e-3), z=z, G=G)
+        assert sol.diagnostics.rho_final != 1.0
+        rho, memory, before_rescales = 1.0, 0, []
+        for i, (kind, value) in enumerate(events):
+            if kind == "memory":
+                memory = value
+            elif value != rho:
+                rho = value
+                before_rescales.append(memory)
+                # the first extrapolation under the new rho sees one difference
+                assert next(v for k, v in events[i:] if k == "memory") == 1
+        assert len(before_rescales) >= 2 and max(before_rescales) > 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_desk_solution_is_near_a_tight_tolerance_solution(self, seed, snr_db):
+        z, G, geom, budget = _desk_problem(seed, snr_db)
+        default = solve_danm(z, G, geom, noise_power=budget)
+        tight = solve_danm(z, G, geom, SolverConfig(tolerance=1e-10), noise_power=budget)
+        assert default.diagnostics.anderson_steps > 0
+        assert _relative_distance(default, tight) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["noise-ball", "regularized"])
+    def test_full_solution_is_near_a_tight_tolerance_solution(self, mode):
+        geom = RisGeometry(3, 3)
+        G = build_code_schedule(12, 9, seed=10).codes
+        x = steering_vector(geom, 65.0, -20.0) + 0.7 * steering_vector(geom, 110.0, 25.0)
+        noise = 0.05 * _rand_complex(np.random.default_rng(3), 12)
+        power = float(np.vdot(noise, noise).real)
+        solve = partial(solve_full_anm, geom, z=G @ x + noise, G=G, noise_power=power)
+        default = solve(SolverConfig(mode=mode))
+        tight = solve(SolverConfig(mode=mode, tolerance=1e-10))
+        assert _relative_distance(default, tight) < 1e-4
+
+
 class TestDiagnosticsExport:
     def test_residual_history_csv(self, tmp_path):
         geom = RisGeometry(3, 3)
@@ -742,5 +854,5 @@ def test_every_solver_path_is_byte_pinned():
     # decoupled and full programs in both denoise modes plus the atomic mode;
     # a refactor of the splitting code must leave every bit of them alone
     assert _solution_digest(_pinned_solves()) == (
-        "85d7734b51258d0807bdcc7a16dbd6616e0fffc7ed18d22920800b0c70142b82"
+        "2afc3ac5e2be5fc50fb0f259d22e56829e815fc9f4896be52c8cca2dfcb97e06"
     )

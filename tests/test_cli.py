@@ -4,6 +4,7 @@ The tiny scenario here (3x3 surface, 16 samples, one source) keeps solver
 work negligible while still driving every command path.
 """
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestBench:
         est = (out / "estimates.csv").read_text().splitlines()
         assert est[0] == "method,snr_db,trial,k,theta_true,phi_true,theta_est,phi_est"
         trials = (out / "trials.csv").read_text().splitlines()
-        assert trials[0] == "method,snr_db,trial,rmse_deg,seconds,error"
+        assert trials[0] == "method,snr_db,trial,rmse_deg,seconds,iterations,error"
         # fft and omp rows for 2 trials each; crb contributes no estimates
         assert len(est) == 1 + 2 * 2
         assert len(trials) == 1 + 3 * 2
@@ -195,6 +196,25 @@ class TestBench:
         assert len(summary) == 1 + 3
         timing = (out / "timing.csv").read_text().splitlines()
         assert timing[0] == "method,snr_db,mean_seconds,total_seconds"
+
+    def test_iterations_are_filled_for_solver_methods_only(self, tmp_path):
+        settings = TrainSettings(
+            dataset_size=24, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5
+        )
+        model_path, _ = run_train(tiny_scenario(), settings, tmp_path / "train")
+        plan = PlanConfig(
+            methods=("fft", "omp-denoise", "dnn-danm", "anm-denoise", "crb"),
+            snr_list=(20.0,), trials=2, seed=17,
+        )
+        paths = run_bench(tiny_scenario(), plan, tmp_path / "bench", model_path=model_path)
+        with open(paths.trials, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 * 2
+        for row in rows:
+            if row["method"] in ("dnn-danm", "anm-denoise"):
+                assert not row["error"] and int(row["iterations"]) >= 1, row
+            else:
+                assert row["iterations"] == "", row
 
     def test_result_files_are_deterministic(self, tmp_path):
         plan = PlanConfig(methods=("fft", "omp", "crb"), snr_list=(10.0, 20.0), trials=3, seed=17)
@@ -399,16 +419,40 @@ class TestCompare:
         out = tmp_path / "compare.csv"
         assert main(["compare", str(path), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1:] == [
-            "30.0,1,fft,0.5",
-            "30.0,failed,dnn-danm,",
-            "30.0,bound,crb,0.1",
+            "30.0,1,fft,0.5,2,0",
+            "30.0,failed,dnn-danm,,2,2",
+            "30.0,bound,crb,0.1,2,0",
         ]
-        assert "failed  dnn-danm     n/a" in capsys.readouterr().out
+        assert "failed  dnn-danm     n/a          2/2 failed" in capsys.readouterr().out
         rows = run_compare(path)
         assert [(r["rank"], r["method"], r["rmse_deg"]) for r in rows] == [
             ("1", "fft", 0.5),
             ("failed", "dnn-danm", None),
             ("bound", "crb", 0.1),
+        ]
+
+    def test_partial_failures_are_shown_beside_the_ranking(self, tmp_path, capsys):
+        # omp ranks first on its surviving trials; its failures stay in view
+        path = self.write_summary(
+            tmp_path,
+            [("fft", 20.0, 0.9, 5, 0), ("omp", 20.0, 0.4, 5, 3), ("crb", 20.0, 0.1, 5, 0)],
+        )
+        out = tmp_path / "compare.csv"
+        assert main(["compare", str(path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "snr_db,rank,method,rmse_deg,trials,failures",
+            "20.0,1,omp,0.4,5,3",
+            "20.0,2,fft,0.9,5,0",
+            "20.0,bound,crb,0.1,5,0",
+        ]
+        printed = capsys.readouterr().out
+        assert "     1  omp          0.4000 deg   3/5 failed" in printed
+        assert "     2  fft          0.9000 deg   0/5 failed" in printed
+        rows = run_compare(path)
+        assert [(r["method"], r["trials"], r["failures"]) for r in rows] == [
+            ("omp", 5, 3),
+            ("fft", 5, 0),
+            ("crb", 5, 0),
         ]
 
     def test_bound_only_rejected(self, tmp_path):
@@ -421,9 +465,16 @@ class TestCompare:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError, match="columns"):
             run_compare(path)
+        # the counts shown beside the ranking are required too
+        path.write_text("method,snr_db,rmse_deg\nfft,10.0,2.0\n")
+        with pytest.raises(ConfigError, match="columns"):
+            run_compare(path)
 
     def test_malformed_value_rejected(self, tmp_path):
         path = self.write_summary(tmp_path, [("fft", "ten", 2.0, 3, 0)])
+        with pytest.raises(ConfigError, match="malformed"):
+            run_compare(path)
+        path = self.write_summary(tmp_path, [("fft", 10.0, 2.0, 3, "none")])
         with pytest.raises(ConfigError, match="malformed"):
             run_compare(path)
 
@@ -439,8 +490,8 @@ class TestCompare:
         code = main(["compare", str(tmp_path), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "snr_db,rank,method,rmse_deg"
-        assert lines[1].startswith("20.0,1,omp")
+        assert lines[0] == "snr_db,rank,method,rmse_deg,trials,failures"
+        assert lines[1] == "20.0,1,omp,1.5,5,0"
         printed = capsys.readouterr().out
         assert "SNR 20 dB" in printed
 
