@@ -52,7 +52,7 @@ by bisection and their vectors by inverse iteration (its MRRR path, Dhillon
 eigendecomposition shrinks as the positive share grows: on a 2-vCPU Xeon
 about a fifth of the side-65 full program's eigenvalues are positive and
 the projection is 2.3x cheaper, while on the 16 x 16 decoupled program
-(side 32) about half are, and it costs about twice a full eigh.
+(side 32) about half are, and it costs 1.6 to 2.1 times a full eigh.
 
 zheevr runs in scipy's OpenBLAS and the matrix products in numpy's; the two
 libraries keep separate thread pools, which under default threads

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq
 
 from risdoa import anm
@@ -711,7 +712,7 @@ def _relative_distance(a, b) -> float:
 
 
 def _full_denoise_problem():
-    """The 3 x 3 full program of test_denoise_mode_recovers_target; its rho is rescaled."""
+    """The 3 x 3 full program of test_denoise_mode_recovers_target; its rho is rescaled down."""
     geom = RisGeometry(3, 3)
     G = build_code_schedule(12, 9, seed=10).codes
     return geom, G, G @ steering_vector(geom, 65.0, -20.0)
@@ -728,23 +729,42 @@ class TestAndersonAcceleration:
 
         def forced(gram, rhs):
             memory.append(gram.shape[0])
-            if len(memory) > 5:
+            if len(memory) > 5 or coefficients == "failed solve":
                 return weights(gram, rhs)
             if coefficients == "misleading":  # within the cap; only the residual check can refuse it
                 return np.full(gram.shape[0], -50.0)
-            if coefficients == "oversized":
-                return np.full(gram.shape[0], 1e5)
-            return None
+            return np.full(gram.shape[0], 1e5)
+
+        def failing_cholesky(a, b):  # LAPACK's report of a nonpositive pivot
+            return (a, b, 1) if len(memory) <= 5 else dposv(a, b)
+
+        if coefficients == "failed solve":
+            monkeypatch.setattr(anm, "dposv", failing_cholesky)
+
+        taken = []
+        step = anm._Anderson.step
+
+        def watched(self, g, f):
+            calls = len(memory)
+            extrapolated = step(self, g, f)
+            if calls < len(memory) <= 5:
+                taken.append(extrapolated is not None)
+            return extrapolated
 
         monkeypatch.setattr(anm, "_anderson_weights", forced)
+        monkeypatch.setattr(anm._Anderson, "step", watched)
         sol = solve_danm(z, G, geom, config, noise_power=budget)
         d = sol.diagnostics
+        # oversized or missing coefficients are refused before the point is
+        # evaluated; a misleading extrapolation is taken, then undone
+        assert taken == [coefficients == "misleading"] * 5
         assert d.converged and d.anderson_rejections == 5
         # each refusal clears the history, so the next extrapolation has one difference
         assert memory[:6] == [1] * 6
         assert _relative_distance(sol, unforced) <= config.tolerance
 
-    def test_rescaled_rho_restarts_with_empty_history(self, monkeypatch):
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_rescaled_rho_restarts_with_empty_history(self, monkeypatch, direction):
         events = []
         weights = anm._anderson_weights
         step = anm._structure_step
@@ -759,9 +779,13 @@ class TestAndersonAcceleration:
 
         monkeypatch.setattr(anm, "_anderson_weights", record_memory)
         monkeypatch.setattr(anm, "_structure_step", record_rho)
-        geom, G, z = _full_denoise_problem()
-        sol = solve_full_anm(geom, SolverConfig(mode="regularized", alpha=1e-3), z=z, G=G)
-        assert sol.diagnostics.rho_final != 1.0
+        if direction == "up":
+            z, G, geom, budget = _desk_problem(2, 30.0)
+            sol = solve_danm(z, G, geom, noise_power=budget)
+        else:
+            geom, G, z = _full_denoise_problem()
+            sol = solve_full_anm(geom, SolverConfig(mode="regularized", alpha=1e-3), z=z, G=G)
+        assert (sol.diagnostics.rho_final > 1.0) == (direction == "up")
         rho, memory, before_rescales = 1.0, 0, []
         for i, (kind, value) in enumerate(events):
             if kind == "memory":
