@@ -375,19 +375,24 @@ _EPS = float(np.finfo(float).eps)
 
 @lru_cache(maxsize=4)
 def _svd_of(shape: tuple, data: bytes):
-    U, s, Vh = np.linalg.svd(np.frombuffer(data, dtype=complex).reshape(shape), full_matrices=True)
+    with _one_blas_thread():
+        U, s, Vh = np.linalg.svd(np.frombuffer(data, dtype=complex).reshape(shape), full_matrices=True)
     V = Vh.conj()
     for a in (U, s, Vh, V):
         a.flags.writeable = False  # shared by every solve through the cache
-    return U, s, Vh, V.T
+    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+    return U, s, Vh, V.T, rank
 
 
-def _code_svd(G: np.ndarray):
-    """Full SVD (U, s, Vh) of the code matrix G plus V = Vh^H, read-only.
+def code_svd(G: np.ndarray):
+    """Full SVD (U, s, Vh) of the code matrix G, V = Vh^H and G's numerical rank.
 
+    The factors are read-only, and U[:, :rank] is an orthonormal basis of
+    the range of G. The SVD runs with both BLAS pools on one thread, like
+    a solve, so the factors have the same bits under any thread setting.
     A benchmark run solves many snapshots against one code matrix, so the
-    factors are cached by G's contents: a matrix with the same shape and
-    bytes reuses them, and any change to an entry misses the cache.
+    result is cached by G's contents: a matrix with the same shape and
+    bytes reuses it, and any change to an entry misses the cache.
     """
     G = np.ascontiguousarray(G, dtype=complex)
     return _svd_of(G.shape, G.tobytes())
@@ -397,7 +402,7 @@ class _DataStep:
     """Closed-form updates of the observed block for both coupling modes.
 
     One instance serves one solve: it holds the observation in the SVD
-    basis of G (the factors themselves are shared through _code_svd), the
+    basis of G (the factors themselves are shared through code_svd), the
     warm start of the ball projection and that solve's root-finding counts.
     """
 
@@ -405,10 +410,8 @@ class _DataStep:
         self.mode = mode
         self.radius = float(radius)
         self.G, self.z = G, np.asarray(z, dtype=complex)
-        U, s, self.Vh, self.V = _code_svd(G)  # V maps the SVD basis back
+        U, s, self.Vh, self.V, rank = code_svd(G)  # V maps the SVD basis back
         zt = U.conj().T @ self.z
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > smax * 1e-12))
         self.rank = rank
         self.s = s[:rank]
         self.s_sq = self.s**2

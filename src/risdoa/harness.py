@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anm import SolverConfig, solve_danm, solve_full_anm
+from .anm import SolverConfig, code_svd, solve_danm, solve_full_anm
 from .baselines import (
     AngleGrid,
     build_dictionary,
@@ -152,7 +152,7 @@ _CTX: dict = {}
 def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
     schedule = scenario.schedule()
     spec = scenario.sources
-    # everything the dictionary and the range basis are built from
+    # everything the dictionary is built from
     key = (
         scenario.geometry,
         schedule.bits.shape,
@@ -161,17 +161,11 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         tuple(spec.azimuth_range),
         plan.grid_step_deg,
     )
-    kept = dict(_CTX) if _CTX.get("key") == key else {}
+    dictionary = _CTX.get("dictionary") if _CTX.get("key") == key else None
     _CTX.clear()  # frees the previous run's dictionary before a new one is built
-    dictionary = kept.get("dictionary")
     if dictionary is None and _GRID_METHODS.intersection(plan.methods):
         grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, plan.grid_step_deg)
         dictionary = build_dictionary(scenario.geometry, schedule, grid)
-    range_basis = kept.get("range_basis")
-    if range_basis is None:
-        u, s, _ = np.linalg.svd(schedule.codes, full_matrices=False)
-        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-        range_basis = u[:, :rank]
     _CTX.update(
         key=key,
         scenario=scenario,
@@ -179,7 +173,6 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         params=params,
         schedule=schedule,
         dictionary=dictionary,
-        range_basis=range_basis,
         danm_config=SolverConfig(
             mode="noise-ball",
             tolerance=plan.solver_tolerance,
@@ -194,7 +187,7 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
     )
 
 
-def _reconstruction_budget(recon, nominal: float, basis: np.ndarray) -> float:
+def _reconstruction_budget(recon, nominal: float, codes: np.ndarray) -> float:
     """Residual-ball budget for the structured solver on reconstructed data.
 
     The reconstruction can carry disturbance beyond the receiver noise, so
@@ -203,9 +196,11 @@ def _reconstruction_budget(recon, nominal: float, basis: np.ndarray) -> float:
     total. The nominal receiver-noise budget is the floor, so a clean
     reconstruction keeps the intended constraint.
     """
-    total, rank = recon.size, basis.shape[1]
+    U, *_, rank = code_svd(codes)
+    total = recon.size
     if rank >= total:
         return nominal
+    basis = U[:, :rank]
     outside = recon - basis @ (basis.conj().T @ recon)
     estimate = float(np.vdot(outside, outside).real) * total / (total - rank)
     return max(nominal, estimate * (1.0 + 1e-9))
@@ -228,8 +223,9 @@ def _estimate(method: str, snap, recon, sources):
     if method in ("omp", "omp-denoise"):
         return omp_estimate(data, ctx["dictionary"], count), None
     if method == "dnn-danm":
-        budget = _reconstruction_budget(recon, total_noise, ctx["range_basis"])
-        vars = solve_danm(recon, ctx["schedule"].codes, geom, ctx["danm_config"], noise_power=budget)
+        codes = ctx["schedule"].codes
+        budget = _reconstruction_budget(recon, total_noise, codes)
+        vars = solve_danm(recon, codes, geom, ctx["danm_config"], noise_power=budget)
         est = estimate_doa(vars, geom, count)
         return (est.elevations_deg, est.azimuths_deg), vars.diagnostics
     if method == "anm-denoise":

@@ -493,12 +493,13 @@ class TestCodeSvdCache:
 
     def test_factors_are_read_only_and_factor_the_matrix(self):
         G = build_code_schedule(12, 9, seed=4).codes
-        U, s, Vh, V = anm._code_svd(G)
+        U, s, Vh, V, rank = anm.code_svd(G)
         for a in (U, s, Vh, V):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         np.testing.assert_allclose(U[:, :9] @ (s[:, None] * Vh), G, atol=1e-12)
         assert np.array_equal(V, Vh.conj().T)
+        assert rank == 9
 
 
 class TestSolverConfig:
