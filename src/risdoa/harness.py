@@ -350,13 +350,13 @@ def _trial_rmse(record: TrialRecord, count: int) -> float:
 
 
 def _write_trials(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,snr_db,trial,rmse_deg,seconds,iterations,error\n")
+    # through csv.writer, which quotes the commas of solver messages in error
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", "snr_db", "trial", "rmse_deg", "seconds", "iterations", "error"])
         for r in records:
-            count = len(r.true_el)
-            rmse = "" if r.squared_error is None else repr(_trial_rmse(r, count))
-            iterations = "" if r.iterations is None else r.iterations
-            fh.write(f"{r.method},{r.snr_db!r},{r.trial},{rmse},{r.seconds!r},{iterations},{r.error}\n")
+            rmse = None if r.squared_error is None else _trial_rmse(r, len(r.true_el))
+            writer.writerow([r.method, r.snr_db, r.trial, rmse, r.seconds, r.iterations, r.error])
 
 
 def _write_summary(path, records, plan: PlanConfig) -> None:

@@ -216,6 +216,22 @@ class TestBench:
             else:
                 assert row["iterations"] == "", row
 
+    def test_solver_message_with_commas_stays_in_its_field(self, tmp_path):
+        settings = TrainSettings(
+            dataset_size=24, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5
+        )
+        model_path, _ = run_train(tiny_scenario(), settings, tmp_path / "train")
+        plan = PlanConfig(
+            methods=("dnn-danm",), snr_list=(20.0,), trials=1, seed=17, solver_max_iterations=2
+        )
+        paths = run_bench(tiny_scenario(), plan, tmp_path / "bench", model_path=model_path)
+        with open(paths.trials, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert None not in row
+        error = row["error"]
+        assert error.startswith("SolverConvergenceError: decoupled splitting did not reach")
+        assert "in 2 iterations (primal " in error and error.endswith(")") and ", dual " in error
+
     def test_result_files_are_deterministic(self, tmp_path):
         plan = PlanConfig(methods=("fft", "omp", "crb"), snr_list=(10.0, 20.0), trials=3, seed=17)
         a = run_bench(tiny_scenario(), plan, tmp_path / "a")
