@@ -30,8 +30,6 @@ from .model import RisGeometry, axis_atom
 class DoaEstimate:
     """Paired angle estimates sorted by elevation, plus fit diagnostics.
 
-    score_matrix[i, j] is the response of X to row frequency i and column
-    frequency j; pair_scores are its entries along the chosen assignment.
     pair_residuals measure the misfit amplitude each atom pair still sees
     after subtracting the joint rank-1 rebuild, and fit_residual is the
     relative Frobenius misfit of that rebuild.
@@ -39,8 +37,6 @@ class DoaEstimate:
 
     elevations_deg: np.ndarray
     azimuths_deg: np.ndarray
-    score_matrix: np.ndarray
-    pair_scores: np.ndarray
     pair_residuals: np.ndarray
     fit_residual: float
 
@@ -98,16 +94,11 @@ def pairing_scores(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry) -> np
 
 def pair_frequencies(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry):
     """Match row to column frequencies by maximum total response of X."""
-    return _pairs_and_scores(row_freqs, col_freqs, X, geom)[0]
-
-
-def _pairs_and_scores(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry):
-    """The pairing of pair_frequencies together with the score matrix it maximized."""
     S = pairing_scores(row_freqs, col_freqs, X, geom)
     if S.shape[0] != S.shape[1]:
         raise ValueError("row and column frequency lists must have equal length")
     ri, ci = linear_sum_assignment(-S)
-    return list(zip(ri.tolist(), ci.tolist())), S
+    return list(zip(ri.tolist(), ci.tolist()))
 
 
 def freqs_to_angles(f_row: float, f_col: float):
@@ -130,7 +121,7 @@ def freqs_to_angles(f_row: float, f_col: float):
 
 
 def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimate:
-    pairs, S = _pairs_and_scores(row_freqs, col_freqs, X, geom)
+    pairs = pair_frequencies(row_freqs, col_freqs, X, geom)
     angles = [freqs_to_angles(row_freqs[i], col_freqs[j]) for i, j in pairs]
     rows = [axis_atom(row_freqs[i], geom.rows, geom.row_spacing) for i, _ in pairs]
     cols = [axis_atom(col_freqs[j], geom.cols, geom.col_spacing) for _, j in pairs]
@@ -141,14 +132,11 @@ def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimat
     x_norm = max(float(np.linalg.norm(X)), 1e-300)
     scale = np.sqrt(geom.rows * geom.cols)
     pair_res = [abs(u.conj() @ err @ v.conj()) / scale for u, v in zip(rows, cols)]
-    pair_scores = [S[i, j] for i, j in pairs]
     order = np.argsort([a[0] for a in angles], kind="stable")
     angles = np.asarray(angles)[order]
     return DoaEstimate(
         elevations_deg=angles[:, 0],
         azimuths_deg=angles[:, 1],
-        score_matrix=S,
-        pair_scores=np.asarray(pair_scores)[order],
         pair_residuals=np.asarray(pair_res)[order],
         fit_residual=float(np.linalg.norm(err)) / x_norm,
     )
