@@ -80,12 +80,11 @@ fallbacks.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -316,7 +315,6 @@ class SolverDiagnostics:
     min_eigenvalue: float
     rho_final: float
     mode: str
-    residual_history: tuple = field(repr=False, default=())
     # noise-ball projections that solved for a multiplier, the secular
     # equation evaluations they took and how many fell back to brentq
     root_solves: int = 0
@@ -353,15 +351,6 @@ class AtomicDecomposition:
 
     frequencies: np.ndarray
     weights: np.ndarray
-
-
-def write_residual_history(diagnostics: SolverDiagnostics, path) -> None:
-    """Dump the recorded (iteration, primal, dual) residual trace as CSV."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "primal_residual", "dual_residual"])
-        for row in diagnostics.residual_history:
-            writer.writerow([row[0], repr(row[1]), repr(row[2])])
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +570,8 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
 # the splitting loop over one bordered block matrix
 
 # the step size rho starts at 1 and residual balancing rescales it every
-# _ADAPT_EVERY iterations; the residual history keeps every _RECORD_EVERY-th
-# iteration plus the first and the last
+# _ADAPT_EVERY iterations
 _ADAPT_EVERY = 50
-_RECORD_EVERY = 25
 # Anderson acceleration keeps the last _ANDERSON_MEMORY differences, damps
 # each diagonal entry of its Gram matrix by the factor
 # 1 + _ANDERSON_REGULARIZATION (Tikhonov damping relative to each column's
@@ -705,7 +692,6 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
     Z = np.zeros_like(W)
     dual = np.zeros_like(W)
     rho = 1.0
-    history = []
     anderson = _Anderson(2 * W.size)
     fallback = None  # (plain image, Z, dual) of the point W was extrapolated from
     with _one_blas_thread():
@@ -718,12 +704,9 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
             r_pri = _fro(R)
             r_cons = _fro(dual - dual_prev)  # the primal residual of a plain ADMM step
             r_dual = rho * _fro(Z - Z_prev)
-            if it == 1 or it % _RECORD_EVERY == 0:
-                history.append((it, r_pri, r_dual))
             limit_pri = config.tolerance * max(_fro(Q), _fro(Z), _FLOOR)
             limit_dual = config.tolerance * max(rho * _fro(dual), _FLOOR)
             if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
-                history.append((it, r_pri, r_dual))
                 break
             if fallback is None:
                 reference = r_pri  # W is a plain image
@@ -766,7 +749,6 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
         min_eigenvalue=min_eigenvalue,
         rho_final=rho,
         mode=data.mode,
-        residual_history=tuple(history),
         root_solves=data.root_solves,
         secular_evaluations=data.secular_evaluations,
         brentq_fallbacks=data.brentq_fallbacks,
