@@ -399,6 +399,40 @@ class TestBench:
             assert 0.0 <= float(rmse) < 5.0, line
 
 
+class TestReconstructionBudget:
+    """The dnn-danm ball budget on a 12 x 9 code matrix of rank 5."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        left = cplx(12, 5)
+        self.G = left @ cplx(5, 9)
+        self.in_range = self.G @ cplx(9)
+        basis, _ = np.linalg.qr(left)
+        v = cplx(12)
+        self.out_of_range = v - basis @ (basis.conj().T @ v)
+
+    def test_code_matrix_is_rank_deficient(self):
+        from risdoa.anm import code_svd
+
+        assert code_svd(self.G)[-1] == 5
+
+    def test_reconstruction_in_the_range_keeps_the_nominal_budget(self):
+        from risdoa.harness import _reconstruction_budget
+
+        assert _reconstruction_budget(self.in_range, 0.3, self.G) == 0.3
+
+    def test_out_of_range_energy_is_scaled_to_the_whole_snapshot(self):
+        from risdoa.harness import _reconstruction_budget
+
+        e = 2.0 * self.out_of_range / np.linalg.norm(self.out_of_range)  # energy 4
+        budget = _reconstruction_budget(self.in_range + e, 0.3, self.G)
+        assert budget == pytest.approx(4.0 * 12 / (12 - 5), rel=1e-8)
+
+
 class TestCompare:
     def write_summary(self, tmp_path, rows):
         path = tmp_path / "summary.csv"
