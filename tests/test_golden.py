@@ -12,22 +12,24 @@ A change that moves numbers on purpose regenerates the files with
 
 and says in its change log which rows moved, by how much and why.
 
-The golden bits are those of OpenBLAS at its default thread count on a
-2-vCPU machine: under OPENBLAS_NUM_THREADS=1 every dnn-danm row moves by
-about 1e-13 degrees and the bench check fails. Run this module with
-default threads, and never regenerate the files under a pinned thread
-count. The one-thread identity check is the fingerprints printed by
-perfbench/run.py, which pins one thread.
+The bench is checked in this process under the default OpenBLAS thread
+count, and in fresh processes under OPENBLAS_NUM_THREADS=1 and =2: the
+files must come out the same bits under each.
 """
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from risdoa.config import PlanConfig, SourceSpec, TrainSettings, desk_scenario
 from risdoa.harness import run_bench, run_train
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
 TRAIN_FILES = ("model.bin", "loss.csv")
 BENCH_FILES = ("estimates.csv", "summary.csv")
 
@@ -62,6 +64,21 @@ def test_training_matches_golden(tmp_path):
 
 def test_bench_matches_golden(tmp_path):
     run_bench(SCENARIO, PLAN, tmp_path, model_path=GOLDEN / "model.bin")
+    for name in BENCH_FILES:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_matches_golden_under_set_blas_threads(tmp_path, threads):
+    # OpenBLAS reads the variable when numpy loads it, so the bench runs in a
+    # new process started with the variable set
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    bench = (
+        f"import sys; sys.path.insert(0, {str(HERE)!r}); import test_golden as g; "
+        "g.run_bench(g.SCENARIO, g.PLAN, sys.argv[1], model_path=g.GOLDEN / 'model.bin')"
+    )
+    subprocess.run([sys.executable, "-c", bench, str(tmp_path)], env=env, check=True)
     for name in BENCH_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
