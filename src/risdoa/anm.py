@@ -59,7 +59,9 @@ libraries keep separate thread pools, which under default threads
 oversubscribe the cores on these small matrices. A solve therefore runs
 with both pools set to one thread and puts their thread counts back when it
 returns or raises; a pool whose library or thread functions cannot be found
-is left alone.
+is left alone. The SVD of the code matrix, computed once per matrix
+(code_svd), runs pinned too, so a solve gives the same bits under any
+thread setting.
 
 In noise-ball mode step (3) projects the observed block onto the residual
 ball. In the SVD basis of G = U diag(s) V^H the projection of a point with
