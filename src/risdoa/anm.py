@@ -18,41 +18,45 @@ weights.
 
 The splitting is the scaled-dual ADMM of Boyd et al. (2011), run in its
 one-variable Douglas-Rachford form on W, the input of the PSD projection.
-Each iteration
+Every iterate is Hermitian and held packed as in SCS (O'Donoghue, Chu,
+Parikh & Boyd 2016): one real vector of length side^2 with the diagonal,
+then sqrt(2) times the real and imaginary parts of the strict lower
+triangle, so its dot products are the matrices' Frobenius inner products
+(svec, smat). Each iteration
   (1) projects onto the PSD cone, Z = P(W);
   (2) takes the scaled dual, dual = W - Z;
-  (3) runs one block structure step, Q = S(Z - dual): each diagonal block
-      through its projector, the border through the mode's data coupling,
-      the trace term as a closed-form diagonal shift;
+  (3) runs one structure step, Q = S(Z - dual): one average over the
+      entry classes of both diagonal blocks, the border through the mode's
+      data coupling, the trace term as a shift of the diagonal;
   (4) forms the image g(W) = Q + dual.
 The fixed-point residual g(W) - W = Q - Z is the primal residual of the
 returned Q. The solve stops when it, the change of the dual and rho times
 the change of Z are all within the tolerance relative to the iterates, and
 residual balancing rescales the step size rho every 50 iterations.
 
-W advances by type-II Anderson acceleration (Walker & Ni 2011): the next W
-is g(W) minus the combination of the last 10 differences of g(W) whose
-residual differences best cancel the current residual, from a Tikhonov-
-damped Gram system that gains one row and column per iteration. The
-extrapolation is safeguarded (Zhang, O'Donoghue & Boyd 2020). It is
-refused when the Gram solve fails or its coefficients blow up. It is
-undone, for the plain image it replaced, when the residual at the
-extrapolated point exceeds the last plain step's. Either way, and on each
-change of rho, the history is cleared. On the benchmark problems this
-takes about a third of the plain splitting's iterations, each about 30%
-dearer. The atomic mode, which evaluates the atomic norm of a given x,
-couples the border to that fixed x.
+W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
+packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
+combination of the last 10 differences of g(W) whose residual differences
+best cancel the current residual, from a Tikhonov-damped Gram system that
+gains one row and column per iteration. The extrapolation is safeguarded
+(Zhang, O'Donoghue & Boyd 2020). It is refused when the Gram solve fails or
+its coefficients blow up. It is undone, for the plain image it replaced,
+when the residual at the extrapolated point exceeds the last plain step's.
+Either way, and on each change of rho, the history is cleared. The atomic
+mode, which evaluates the atomic norm of a given x, couples the border to
+that fixed x.
 
 The PSD projection is most of a solve's cost. Near a sparse solution the
 iterate has few positive eigenvalues (Boyd et al. 2011, sec. 4.4), and the
 projection computes only those eigenpairs, with LAPACK's zheevr over the
-interval (0, inf). For such a partial request zheevr finds the eigenvalues
-by bisection and their vectors by inverse iteration (its MRRR path, Dhillon
-& Parlett 2004, serves the full spectrum), so the saving over a full
-eigendecomposition shrinks as the positive share grows: on a 2-vCPU Xeon
-about a fifth of the side-65 full program's eigenvalues are positive and
-the projection is 2.3x cheaper, while on the 16 x 16 decoupled program
-(side 32) about half are, and it costs 1.6 to 2.1 times a full eigh.
+interval (0, inf) on the lower triangle that the packed iterate fills. For
+such a partial request zheevr finds the eigenvalues by bisection and their
+vectors by inverse iteration (its MRRR path, Dhillon & Parlett 2004, serves
+the full spectrum), so the saving over a full eigendecomposition shrinks as
+the positive share grows: on a 2-vCPU Xeon 2 or 3 of the side-65 full
+program's 65 eigenvalues are positive and the partial solve takes about a
+third of a full one's time, while on the 16 x 16 decoupled program (side
+32) about half are, and it costs 1.6 to 2.1 times a full eigh.
 
 zheevr runs in scipy's OpenBLAS and the matrix products in numpy's; the two
 libraries keep separate thread pools, which under default threads
@@ -87,7 +91,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,60 +112,95 @@ _FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# structure projections
+# packed Hermitian matrices and the structure and PSD projections
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _real(A: np.ndarray) -> np.ndarray:
+    """Real view of a contiguous complex array as one flat vector."""
+    return A.view(np.float64).reshape(-1)
 
 
 @lru_cache(maxsize=None)
-def _two_level_classes(m: int, n: int):
-    r = np.arange(m * n)
-    mm, nn = r // n, r % n
-    dm = mm[:, None] - mm[None, :] + (m - 1)
-    dn = nn[:, None] - nn[None, :] + (n - 1)
-    idx = dm * (2 * n - 1) + dn
-    counts = np.bincount(idx.ravel(), minlength=(2 * m - 1) * (2 * n - 1))
-    return idx, counts
+def _svec_layout(n: int):
+    """Float offsets and scales of the packed entries of a side-n Hermitian matrix.
+
+    The packed vector holds the diagonal, then sqrt(2) Re and sqrt(2) Im of
+    the strict lower triangle taken column by column, so its dot products
+    are the Frobenius inner products of the matrices. The offsets index the
+    float view of the matrix stored column-major, which is the memory of
+    its conjugate stored row-major.
+    """
+    c, r = np.triu_indices(n, 1)
+    cells = np.concatenate([np.arange(n) * (n + 1), c * n + r])
+    offsets = np.concatenate([2 * cells, 2 * cells[n:] + 1])
+    scale = np.full(n * n, _SQRT2)
+    scale[:n] = 1.0
+    offsets.flags.writeable = scale.flags.writeable = False  # shared through the cache
+    return offsets, scale
+
+
+def _lower(v: np.ndarray) -> np.ndarray:
+    """Column-major matrix with the packed v in its lower triangle and zeros above."""
+    n = math.isqrt(v.size)
+    offsets, scale = _svec_layout(n)
+    L = np.zeros((n, n), dtype=complex, order="F")
+    _real(L.T)[offsets] = v / scale
+    return L
+
+
+def svec(A: np.ndarray) -> np.ndarray:
+    """Packed real vector of the Hermitian part of a square matrix (the svec of SCS)."""
+    A = np.asarray(A, dtype=complex)
+    offsets, scale = _svec_layout(A.shape[0])
+    return _real(np.ascontiguousarray(A.T + A.conj()) / 2.0)[offsets] * scale
+
+
+def smat(v: np.ndarray) -> np.ndarray:
+    """Hermitian matrix of a packed vector, the inverse of svec."""
+    L = _lower(v)
+    A = L + L.conj().T
+    np.fill_diagonal(A, v[: L.shape[0]])
+    return A
 
 
 @lru_cache(maxsize=None)
-def _toeplitz_map(n: int) -> np.ndarray:
-    """Real n^2 x n^2 matrix that averages each diagonal of a row-major n x n matrix."""
-    i = np.arange(n)
-    diag = (i[None, :] - i[:, None]).ravel()
-    same = diag[:, None] == diag[None, :]
-    P = same / same.sum(axis=1, keepdims=True)
-    P.flags.writeable = False  # shared by every caller through the cache
-    return P
+def _structure(grids: tuple):
+    """(side, class ids, class counts, border Re offsets, border Im offsets) of a packed matrix.
 
-
-def _toeplitz_average(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Diagonal averages of the square complex block A through its cached map P."""
-    n = A.shape[0]
-    pairs = np.ascontiguousarray(A).view(np.float64).reshape(n * n, 2)
-    return (P @ pairs).view(np.complex128).reshape(n, n)
-
-
-def _class_average(A: np.ndarray, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    flat = idx.ravel()
-    re = np.bincount(flat, weights=A.real.ravel(), minlength=counts.size)
-    im = np.bincount(flat, weights=A.imag.ravel(), minlength=counts.size)
-    return ((re + 1j * im) / counts)[idx]
-
-
-def _hermitian(A: np.ndarray) -> np.ndarray:
-    return (A + A.conj().T) / 2.0
+    grids holds the (rows, cols) of each diagonal block; its entry
+    ((m, n), (m', n')) is in class (m - m', n - n'), with the real and
+    imaginary parts in classes of their own, so averaging each class
+    projects the blocks onto Hermitian (two-level) Toeplitz structure. The
+    border between two blocks is one class for the caller to overwrite;
+    its offsets run row-major over the top-right block.
+    """
+    n = sum(rows * cols for rows, cols in grids)
+    key = np.full((n, n), -1)
+    start = base = 0
+    for rows, cols in grids:
+        mm, nn = np.divmod(np.arange(rows * cols), cols)
+        dm = mm[:, None] - mm[None, :] + rows - 1
+        dn = nn[:, None] - nn[None, :] + cols - 1
+        end = start + rows * cols
+        key[start:end, start:end] = base + dm * (2 * cols - 1) + dn
+        start, base = end, base + (2 * rows - 1) * (2 * cols - 1)
+    c, r = np.triu_indices(n, 1)
+    lower = key[r, c]
+    packed = np.concatenate([key.diagonal(), lower, np.where(lower < 0, -1, lower + base)])
+    _, ids, counts = np.unique(packed, return_inverse=True, return_counts=True)
+    where = np.zeros((n, n), dtype=int)
+    where[r, c] = np.arange(n, n + r.size)
+    k = grids[0][0] * grids[0][1]
+    re = where[k:, :k].T.ravel()  # the lower-left block holds conj(x)
+    ids.flags.writeable = counts.flags.writeable = re.flags.writeable = False
+    return n, ids, counts, re, re + r.size
 
 
 def project_toeplitz_hermitian(A: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto Hermitian Toeplitz matrices.
-
-    Hermitian symmetrization followed by averaging each diagonal; the two
-    projections commute, so the composition is the projection onto the
-    intersection.
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("input must be square")
-    return _toeplitz_average(_hermitian(A), _toeplitz_map(A.shape[0]))
+    """Orthogonal projection onto Hermitian Toeplitz matrices: the one-row two-level case."""
+    return project_block_toeplitz(A, 1, len(A))
 
 
 def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -175,24 +214,26 @@ def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
     mn = rows * cols
     if A.shape != (mn, mn):
         raise ValueError(f"expected a {mn}x{mn} matrix for a {rows}x{cols} grid")
-    idx, counts = _two_level_classes(rows, cols)
-    return _class_average(_hermitian(A), idx, counts)
+    _, ids, counts, _, _ = _structure(((rows, cols),))
+    return smat((np.bincount(ids, weights=svec(A)) / counts)[ids])
 
 
-def project_psd(A: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix to the Hermitian part.
+def project_psd(w: np.ndarray) -> np.ndarray:
+    """Nearest (Frobenius) positive semidefinite matrix, packed in and out (svec).
 
     The projection keeps the eigenpairs with positive eigenvalue and drops
-    the rest, so only those m pairs are computed (zheevr over (0, inf)) and
-    the result is V_m diag(w_m) V_m^H; m = 0 gives the zero matrix. A
-    failed eigensolve raises DegenerateInputError.
+    the rest, so only those m pairs are computed (zheevr over (0, inf) on
+    the lower triangle) and the result is V_m diag(w_m) V_m^H; m = 0 gives
+    the zero matrix. A failed eigensolve raises DegenerateInputError.
     """
-    H = _hermitian(np.asarray(A, dtype=complex))
-    w, V, m, _, info = zheevr(H, compute_v=1, range="V", vl=0.0, vu=np.inf)
+    H = _lower(np.asarray(w, dtype=float))
+    ev, V, m, _, info = zheevr(H, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, overwrite_a=1)
     if info != 0:
         raise DegenerateInputError(f"PSD projection: LAPACK zheevr failed with info = {info}")
     V = V[:, :m]
-    return _hermitian((V * w[:m]) @ V.conj().T)
+    offsets, scale = _svec_layout(H.shape[0])
+    # conj(V_m diag(w_m) V_m^H) row-major is the projection column-major
+    return _real((V.conj() * ev[:m]) @ V.T)[offsets] * scale
 
 
 # numpy and scipy each load their own OpenBLAS: the directory of each
@@ -409,7 +450,7 @@ class _DataStep:
         self.zt = zt[:rank]
         # observation energy outside the range of G is unreachable by any x
         self.unreachable_sq = float(np.sum(np.abs(zt[rank:]) ** 2))
-        n = self.size = G.shape[1]
+        n = G.shape[1]
         self.s_full = np.zeros(n)
         self.s_full[:rank] = self.s
         self.sz_full = np.zeros(n, dtype=complex)
@@ -529,7 +570,6 @@ class _FixedCoupling:
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self.size = x.size
 
     def couple(self, v: np.ndarray, rho: float) -> np.ndarray:
         return self.x
@@ -583,33 +623,24 @@ _ANDERSON_REGULARIZATION = 1e-3
 _ANDERSON_CAP = 1e4
 
 
-def _real(A: np.ndarray) -> np.ndarray:
-    """Real view of a contiguous complex array as one flat vector."""
-    return A.view(np.float64).reshape(-1)
-
-
-def _fro(A: np.ndarray) -> float:
-    """Frobenius norm of a contiguous complex array, as one real dot product."""
-    v = _real(A)
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, as one dot product."""
     return math.sqrt(v.dot(v))
 
 
-def _structure_step(V, rho, k, project_top, project_bottom, data, weight):
-    """Projection of V onto the bordered structure [[T_top, x], [x^H, T_bottom]].
+def _structure_step(v, rho, structure, data, weight):
+    """Projection of the packed v onto the bordered structure [[T_top, x], [x^H, T_bottom]].
 
-    Each diagonal block goes through its own projector, the k x (side - k)
-    border through the data coupling, and the trace term shifts the
-    diagonal by weight / (2 rho).
+    One class average projects both diagonal blocks, the border goes through
+    the data coupling, and the trace term shifts the diagonal by weight / (2 rho).
     """
-    H = _hermitian(V)
-    out = np.empty_like(H)
-    out[:k, :k] = project_top(H[:k, :k])
-    out[k:, k:] = project_bottom(H[k:, k:])
-    X = data.couple(H[:k, k:].reshape(-1), rho).reshape(k, -1)
-    out[:k, k:] = X
-    out[k:, :k] = X.conj().T
-    out.reshape(-1)[:: out.shape[0] + 1] -= weight / (2.0 * rho)
-    return out
+    n, ids, counts, re, im = structure
+    q = (np.bincount(ids, weights=v) / counts)[ids]
+    x = data.couple((v[re] - 1j * v[im]) / _SQRT2, rho)
+    q[re] = _SQRT2 * x.real
+    q[im] = -_SQRT2 * x.imag
+    q[:n] -= weight / (2.0 * rho)
+    return q
 
 
 def _anderson_weights(gram: np.ndarray, rhs: np.ndarray):
@@ -676,38 +707,37 @@ class _Anderson:
         self.reset()
 
 
-def _solve(k: int, project_top, project_bottom, data, weight: float, config: SolverConfig, label):
-    """Minimize half the trace of a bordered PSD matrix whose top block has side k.
+def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
+    """Minimize half the trace of a bordered PSD matrix with diagonal blocks on grids.
 
-    project_top and project_bottom map the Hermitian diagonal blocks onto
-    their structure, data couples the border to the observation. Returns
-    the final structured iterate and its diagnostics. Runs with both BLAS
+    grids holds the (rows, cols) of the top and bottom blocks (_structure),
+    data couples the border to the observation. Returns the final
+    structured iterate, unpacked, and its diagnostics. Runs with both BLAS
     pools on one thread (_one_blas_thread).
 
-    The loop is the one-variable form of the module docstring on the PSD
-    projection's input W, Anderson-accelerated (_Anderson). An extrapolated
-    W whose residual exceeds the last plain step's is dropped for the plain
-    image of the W it was extrapolated from, and the history is cleared.
+    The loop is the one-variable form of the module docstring on the packed
+    PSD projection input W, Anderson-accelerated (_Anderson). An
+    extrapolated W whose residual exceeds the last plain step's is dropped
+    for the plain image of the W it was extrapolated from, and the history
+    is cleared.
     """
-    dim = k + data.size // k  # the border holds the coupled x as a k-row block
-    W = np.zeros((dim, dim), dtype=complex)
-    Z = np.zeros_like(W)
-    dual = np.zeros_like(W)
+    structure = _structure(grids)
+    W, Z, dual = np.zeros((3, structure[0] ** 2))
     rho = 1.0
-    anderson = _Anderson(2 * W.size)
+    anderson = _Anderson(W.size)
     fallback = None  # (plain image, Z, dual) of the point W was extrapolated from
     with _one_blas_thread():
         for it in range(1, config.max_iterations + 1):
             Z_prev, dual_prev = Z, dual
             Z = project_psd(W)
             dual = W - Z
-            Q = _structure_step(Z - dual, rho, k, project_top, project_bottom, data, weight)
+            Q = _structure_step(Z - dual, rho, structure, data, weight)
             R = Q - Z
-            r_pri = _fro(R)
-            r_cons = _fro(dual - dual_prev)  # the primal residual of a plain ADMM step
-            r_dual = rho * _fro(Z - Z_prev)
-            limit_pri = config.tolerance * max(_fro(Q), _fro(Z), _FLOOR)
-            limit_dual = config.tolerance * max(rho * _fro(dual), _FLOOR)
+            r_pri = _norm(R)
+            r_cons = _norm(dual - dual_prev)  # the primal residual of a plain ADMM step
+            r_dual = rho * _norm(Z - Z_prev)
+            limit_pri = config.tolerance * max(_norm(Q), _norm(Z), _FLOOR)
+            limit_dual = config.tolerance * max(rho * _norm(dual), _FLOOR)
             if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
                 break
             if fallback is None:
@@ -728,9 +758,9 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
                     dual *= 2.0
                     anderson.reset()
             image = Q + dual
-            extrapolated = anderson.step(_real(image), _real(R))
+            extrapolated = anderson.step(image, R)
             fallback = None if extrapolated is None else (image, Z, dual)
-            W = image if extrapolated is None else extrapolated.view(complex).reshape(dim, dim)
+            W = image if extrapolated is None else extrapolated
         else:  # max_iterations >= 1, so the loop ran and set it, r_pri and r_dual
             raise SolverConvergenceError(
                 f"{label} splitting did not reach tolerance {config.tolerance:g} "
@@ -740,13 +770,15 @@ def _solve(k: int, project_top, project_bottom, data, weight: float, config: Sol
                 primal_residual=r_pri,
                 dual_residual=r_dual,
             )
+        Q = smat(Q)
         min_eigenvalue = float(np.linalg.eigvalsh(Q)[0])
+    k = grids[0][0] * grids[0][1]
     diagnostics = SolverDiagnostics(
         iterations=it,
         converged=True,
         primal_residual=r_pri,
         dual_residual=r_dual,
-        trace_objective=0.5 * float(np.trace(Q[:k, :k]).real + np.trace(Q[k:, k:]).real),
+        trace_objective=0.5 * float(np.trace(Q).real),
         data_residual=data.residual(Q[:k, k:].reshape(-1)),
         min_eigenvalue=min_eigenvalue,
         rho_final=rho,
@@ -781,9 +813,7 @@ def solve_danm(
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
     data, weight = _coupling(config, z, G, noise_power, M * N)
-    top = partial(_toeplitz_average, P=_toeplitz_map(M))
-    bottom = partial(_toeplitz_average, P=_toeplitz_map(N))
-    Q, diag = _solve(M, top, bottom, data, weight, config, "decoupled")
+    Q, diag = _solve(((1, M), (1, N)), data, weight, config, "decoupled")
     return DecoupledSdpVars(T_x=Q[:M, :M], T_y=Q[M:, M:], X=Q[:M, M:], diagnostics=diag)
 
 
@@ -817,10 +847,7 @@ def solve_full_anm(
             raise ValueError(f"x must have {mn} entries")
         _require_finite(x=x)
         data, weight = _FixedCoupling(x), 1.0
-    idx, counts = _two_level_classes(M, N)
-    top = partial(_class_average, idx=idx, counts=counts)
-    bottom = partial(_toeplitz_average, P=_toeplitz_map(1))  # the scalar t
-    Q, diag = _solve(mn, top, bottom, data, weight, config, "full")
+    Q, diag = _solve(((M, N), (1, 1)), data, weight, config, "full")  # the scalar t last
     return FullSdpVars(T=Q[:mn, :mn], t=float(Q[mn, mn].real), x=Q[:mn, mn], diagnostics=diag)
 
 

@@ -17,8 +17,10 @@ from risdoa.anm import (
     project_block_toeplitz,
     project_psd,
     project_toeplitz_hermitian,
+    smat,
     solve_danm,
     solve_full_anm,
+    svec,
     toeplitz_from_atoms,
     unit_matrix_atom,
     unit_vec_atom,
@@ -117,12 +119,17 @@ class TestBlockToeplitzProjection:
         np.testing.assert_allclose(P1, P1.conj().T, atol=1e-12)
 
 
+def _psd(A):
+    """project_psd of a full matrix, through the packed form it works on."""
+    return smat(project_psd(svec(A)))
+
+
 class TestPsdProjection:
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(3)
         B = _rand_complex(rng, 5, 5)
         A = B @ B.conj().T
-        np.testing.assert_allclose(project_psd(A), A, atol=1e-10)
+        np.testing.assert_allclose(_psd(A), A, atol=1e-10)
 
     def test_eigen_clip_oracle(self):
         # build a Hermitian matrix with known eigenvalues, clip by hand
@@ -132,12 +139,12 @@ class TestPsdProjection:
         lam = np.array([2.0, 0.5, -0.25, -3.0])
         A = (V * lam) @ V.conj().T
         expected = (V * np.maximum(lam, 0.0)) @ V.conj().T
-        np.testing.assert_allclose(project_psd(A), expected, atol=1e-10)
+        np.testing.assert_allclose(_psd(A), expected, atol=1e-10)
 
     def test_output_is_psd(self):
         rng = np.random.default_rng(5)
         A = _rand_complex(rng, 6, 6)
-        lam = np.linalg.eigvalsh(project_psd(A))
+        lam = np.linalg.eigvalsh(_psd(A))
         assert lam.min() >= -1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -152,7 +159,7 @@ class TestPsdProjection:
         A = (V * (signs * rng.uniform(0.01, 3.0, side))) @ V.conj().T + (S - S.conj().T)
         lam, W = np.linalg.eigh((A + A.conj().T) / 2.0)
         expected = (W * np.maximum(lam, 0.0)) @ W.conj().T
-        P = project_psd(A)
+        P = _psd(A)
         scale = np.linalg.norm(A)
         assert np.linalg.norm(P - expected) <= 1e-12 * scale
         assert np.array_equal(P, P.conj().T)
@@ -161,25 +168,25 @@ class TestPsdProjection:
     def test_negative_definite_gives_the_zero_matrix(self):
         rng = np.random.default_rng(6)
         B = _rand_complex(rng, 7, 7)
-        P = project_psd(-(B @ B.conj().T) - 0.1 * np.eye(7))
+        P = _psd(-(B @ B.conj().T) - 0.1 * np.eye(7))
         assert np.array_equal(P, np.zeros((7, 7)))
 
     def test_positive_definite_is_kept_whole(self):
         rng = np.random.default_rng(7)
         B = _rand_complex(rng, 9, 9)
         A = B @ B.conj().T + 0.1 * np.eye(9)
-        assert np.linalg.norm(project_psd(A) - A) <= 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(_psd(A) - A) <= 1e-12 * np.linalg.norm(A)
 
     def test_exact_zero_eigenvalues(self):
-        assert np.array_equal(project_psd(np.zeros((4, 4))), np.zeros((4, 4)))
+        assert np.array_equal(_psd(np.zeros((4, 4))), np.zeros((4, 4)))
         np.testing.assert_array_equal(
-            project_psd(np.diag([2.0, 0.0, 0.0, -1.0])), np.diag([2.0, 0.0, 0.0, 0.0])
+            _psd(np.diag([2.0, 0.0, 0.0, -1.0])), np.diag([2.0, 0.0, 0.0, 0.0])
         )
         rng = np.random.default_rng(8)
         V, _ = np.linalg.qr(_rand_complex(rng, 5, 5))
         lam = np.array([1.5, 0.0, 0.0, -0.5, 0.7])
         expected = (V * np.maximum(lam, 0.0)) @ V.conj().T
-        P = project_psd((V * lam) @ V.conj().T)
+        P = _psd((V * lam) @ V.conj().T)
         assert np.linalg.norm(P - expected) <= 1e-12 * np.linalg.norm(lam)
 
     def test_eigensolver_failure_raises(self, monkeypatch):
@@ -189,11 +196,102 @@ class TestPsdProjection:
 
         monkeypatch.setattr(anm, "zheevr", failing)
         with pytest.raises(DegenerateInputError, match=r"PSD projection.*info = 1"):
-            project_psd(np.eye(3))
+            project_psd(svec(np.eye(3)))
         # a solve stops with the error instead of returning a partial iterate
         geom = RisGeometry(2, 2)
         with pytest.raises(DegenerateInputError, match="PSD projection"):
             solve_danm(np.ones(4), np.eye(4), geom, noise_power=0.0)
+
+
+def _hermitian_matrix(rng, side):
+    A = _rand_complex(rng, side, side)
+    return A + A.conj().T
+
+
+def _full_matrix_step(V, rho, grids, data, weight):
+    """The structure step on the full matrix: each block projected, the border coupled."""
+    H = (V + V.conj().T) / 2.0
+    k = grids[0][0] * grids[0][1]
+    out = np.empty_like(H)
+    out[:k, :k] = project_block_toeplitz(H[:k, :k], *grids[0])
+    out[k:, k:] = project_block_toeplitz(H[k:, k:], *grids[1])
+    X = data.couple(H[:k, k:].reshape(-1), rho).reshape(k, -1)
+    out[:k, k:] = X
+    out[k:, :k] = X.conj().T
+    out[np.diag_indices(len(H))] -= weight / (2.0 * rho)
+    return out
+
+
+class TestPackedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), side=st.integers(1, 12))
+    def test_svec_is_an_isometry(self, seed, side):
+        rng = np.random.default_rng(seed)
+        A, B = _hermitian_matrix(rng, side), _hermitian_matrix(rng, side)
+        a, b = svec(A), svec(B)
+        assert a.shape == (side * side,) and a.dtype == np.float64
+        frobenius = np.vdot(A, B).real
+        assert abs(a @ b - frobenius) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(B)
+        assert a @ a == pytest.approx(np.linalg.norm(A) ** 2, rel=1e-12)
+        # sqrt(2) is irrational, so an off-diagonal entry comes back to within one
+        # ulp; the diagonal comes back exactly, and the result is exactly Hermitian
+        back = smat(a)
+        assert np.array_equal(back, back.conj().T)
+        assert np.array_equal(back.diagonal(), A.diagonal())
+        np.testing.assert_array_max_ulp(back.real, A.real, maxulp=1)
+        np.testing.assert_array_max_ulp(back.imag, A.imag, maxulp=1)
+        # a general matrix packs its Hermitian part
+        S = _rand_complex(rng, side, side)
+        skewed = svec(A + S - S.conj().T)
+        assert np.linalg.norm(skewed - a) <= 1e-14 * (np.linalg.norm(A) + np.linalg.norm(S))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        program=st.sampled_from(["full", "decoupled"]),
+        coupling=st.sampled_from(["noise-ball", "regularized", "atomic"]),
+        rho=st.floats(1e-3, 1e3),
+    )
+    def test_structure_step_matches_the_full_matrix_step(self, seed, rows, cols, program, coupling, rho):
+        rng = np.random.default_rng(seed)
+        mn = rows * cols
+        grids = ((rows, cols), (1, 1)) if program == "full" else ((1, rows), (1, cols))
+        side = sum(r * c for r, c in grids)
+
+        def data():  # a fresh coupling per step, so both start from the same warm start
+            if coupling == "atomic":
+                return anm._FixedCoupling(_rand_complex(np.random.default_rng(seed), mn))
+            G = _rand_complex(np.random.default_rng(seed), max(mn - 1, 1), mn)
+            z = G @ _rand_complex(np.random.default_rng(seed + 1), mn)
+            return anm._DataStep(G, z, coupling, radius=0.3 * np.linalg.norm(z))
+
+        V = _hermitian_matrix(rng, side)
+        weight = float(rng.uniform(0.1, 2.0))
+        expected = _full_matrix_step(V, rho, grids, data(), weight)
+        got = smat(anm._structure_step(svec(V), rho, anm._structure(grids), data(), weight))
+        assert np.array_equal(got, got.conj().T)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("program", ["full", "decoupled"])
+    def test_every_iteration_projects_once_through_the_module_name(self, monkeypatch, program):
+        # perfbench counts the PSD projections by wrapping anm.project_psd
+        calls = []
+        projection = anm.project_psd
+
+        def counted(w):
+            calls.append(w.size)
+            return projection(w)
+
+        monkeypatch.setattr(anm, "project_psd", counted)
+        geom, G, z = _full_denoise_problem()
+        if program == "full":
+            sol = solve_full_anm(geom, SolverConfig(mode="regularized", alpha=1e-3), z=z, G=G)
+        else:
+            sol = solve_danm(z, G, geom, noise_power=1e-3)
+        side = 10 if program == "full" else 6
+        assert len(calls) == sol.diagnostics.iterations and set(calls) == {side * side}
 
 
 @pytest.fixture
@@ -818,6 +916,15 @@ class TestAndersonAcceleration:
         tight = solve(SolverConfig(mode=mode, tolerance=1e-10))
         assert _relative_distance(default, tight) < 1e-4
 
+    def test_bench_full_shape_is_near_a_tight_tolerance_solution(self):
+        # the 8 x 8 regularized full program of the bench-full workload, PSD side 65
+        z, G, geom, budget = _desk_problem(4, 10.0)
+        solve = partial(solve_full_anm, geom, z=z, G=G, noise_power=budget)
+        default = solve(SolverConfig(mode="regularized"))
+        tight = solve(SolverConfig(mode="regularized", tolerance=1e-10))
+        assert default.T.shape == (64, 64) and default.diagnostics.anderson_steps > 0
+        assert _relative_distance(default, tight) < 1e-4
+
 
 def _pinned_solves():
     """Every (program, mode) pair on seeded problems of side up to 4x4.
@@ -863,5 +970,5 @@ def test_every_solver_path_is_byte_pinned():
     # decoupled and full programs in both denoise modes plus the atomic mode;
     # a refactor of the splitting code must leave every bit of them alone
     assert _solution_digest(_pinned_solves()) == (
-        "5f8475e39c609be986b94612388f124eeb656b50e580d9fd4c02433e2f9d6e1d"
+        "6a832f2e2bb7b405441542021ae5a340296a2a7cd308f91f0c23a535b01fb2cc"
     )
