@@ -32,7 +32,13 @@ triangle, so its dot products are the matrices' Frobenius inner products
 The fixed-point residual g(W) - W = Q - Z is the primal residual of the
 returned Q. The solve stops when it, the change of the dual and rho times
 the change of Z are all within the tolerance relative to the iterates, and
-residual balancing rescales the step size rho every 50 iterations.
+residual balancing rescales the step size rho every 50 iterations. In
+regularized mode rho starts at the curvature scale of the data term,
+s_min s_max / 2 over the nonzero singular values s of G: in the packed
+border 0.5 ||z - G x||^2 has Hessian eigenvalues s^2 / 2, and the geometric
+mean of the extreme curvatures is the ADMM step size of Ghadimi, Teixeira,
+Shames & Johansson (2015). The ball and atomic couplings have no data
+curvature and start at rho = 1.
 
 W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
 packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
@@ -343,8 +349,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("noise-ball", "regularized"):
             raise ConfigError(f"unknown solver mode {self.mode!r}")
-        if self.tolerance <= 0 or self.max_iterations < 1:
+        # written to refuse NaN, which would only fail at the end of the budget
+        if not self.tolerance > 0 or self.max_iterations < 1:
             raise ConfigError("tolerance, max_iterations must be positive")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -459,6 +468,8 @@ class _DataStep:
         self.root_solves = 0
         self.secular_evaluations = 0
         self.brentq_fallbacks = 0
+        # the starting step size (module docstring); a zero G has no curvature
+        self.rho0 = float(self.s[0] * self.s[-1]) / 2.0 if mode == "regularized" and rank else 1.0
         if mode == "noise-ball":
             budget_sq = self.radius**2 - self.unreachable_sq
             if budget_sq < -max(1e-20, 1e-10 * float(np.vdot(z, z).real)):
@@ -566,6 +577,7 @@ class _FixedCoupling:
     """The atomic mode's coupling: the observed block is held at x itself."""
 
     mode = "atomic"
+    rho0 = 1.0
     root_solves = secular_evaluations = brentq_fallbacks = 0
 
     def __init__(self, x: np.ndarray):
@@ -611,7 +623,8 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
 # ---------------------------------------------------------------------------
 # the splitting loop over one bordered block matrix
 
-# the step size rho starts at 1 and residual balancing rescales it every
+# the step size rho starts at the data coupling's rho0, clamped to the range
+# residual balancing keeps it in, and balancing rescales it every
 # _ADAPT_EVERY iterations
 _ADAPT_EVERY = 50
 # Anderson acceleration keeps the last _ANDERSON_MEMORY differences, damps
@@ -723,7 +736,7 @@ def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
     """
     structure = _structure(grids)
     W, Z, dual = np.zeros((3, structure[0] ** 2))
-    rho = 1.0
+    rho = min(max(data.rho0, 1e-8), 1e8)
     anderson = _Anderson(W.size)
     fallback = None  # (plain image, Z, dual) of the point W was extrapolated from
     with _one_blas_thread():
