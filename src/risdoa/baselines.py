@@ -48,70 +48,90 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class GridDictionary:
-    """Ideal-code responses for every grid point, built once and reused.
+    """Ideal-code responses for every grid point, kept in factored form.
 
-    Every use correlates a snapshot against the responses, so only their
-    conjugates are kept: conjugate holds the conjugated responses and
-    unit_conjugate the same scaled to unit norm, both (samples, grid
-    points) with elevation-major columns. peak_row/peak_col are the grid's
-    spatial frequencies times the element spacings, the coordinates peak
-    picking measures distances in. All arrays are read-only, since one
-    dictionary serves every cell of a run.
+    The response of grid point (e, a) is C (r_e kron c_ea): the code matrix
+    C (samples x elements) times the steering atom, whose row phases r_e
+    depend on the elevation alone and whose column phases c_ea on both
+    angles. With the atoms as the columns of A, the dictionary is D = C A,
+    and the ideal codes are real +-1, so the matched filter is
+    D^H z = A^H C^H z = A^H (C^T z). ``correlate`` computes it in three
+    small products: Y = C^T z as a rows x cols array, one row-phase sum per
+    elevation, then one column-phase sum per grid point. No (samples, grid
+    points) array is held: on the desk dictionary (96 samples, 8 x 8
+    elements, 61 x 61 points) the factors take 0.7 MB, where one dense
+    complex copy of D takes 5.7 MB.
+
+    code_t is C^T (elements, samples), stored complex so the first product
+    needs no cast; row_conj holds conj(r_e) (elevations, rows); col_conj
+    holds conj(c_ea) (elevations, cols, azimuths); norms are the response
+    norms, elevation-major. peak_row and peak_col are the grid's spatial
+    frequencies times the element spacings, the coordinates peak picking
+    measures distances in. All arrays are read-only, since one dictionary
+    serves every cell of a run.
     """
 
     grid: AngleGrid
     geometry: RisGeometry
-    conjugate: np.ndarray
-    unit_conjugate: np.ndarray
+    code_t: np.ndarray
+    row_conj: np.ndarray
+    col_conj: np.ndarray
     norms: np.ndarray
     peak_row: np.ndarray
     peak_col: np.ndarray
 
+    def correlate(self, samples: np.ndarray) -> np.ndarray:
+        """D^H z, (elevations, azimuths); rejects a wrong length or NaN/inf."""
+        z = np.asarray(samples, complex)
+        if z.shape != (self.code_t.shape[1],):
+            raise ValueError(
+                f"snapshot must hold {self.code_t.shape[1]} samples, got shape {z.shape}"
+            )
+        if not np.isfinite(z).all():
+            bad = np.flatnonzero(~np.isfinite(z))
+            raise DegenerateInputError(
+                f"snapshot samples {bad[:8].tolist()}{' ...' if bad.size > 8 else ''} are NaN or inf"
+            )
+        y = (self.code_t @ z).reshape(self.geometry.rows, self.geometry.cols)
+        u = self.row_conj @ y
+        return np.matmul(u[:, None, :], self.col_conj)[:, 0]
+
+    def columns(self, index) -> np.ndarray:
+        """Responses of the flat grid points in index, (samples, len(index))."""
+        e, a = np.unravel_index(np.asarray(index, int), self.grid.shape)
+        atoms = np.conj(self.row_conj[e][:, :, None] * self.col_conj[e, :, a][:, None, :])
+        return (atoms.reshape(e.size, -1) @ self.code_t).T
+
     @property
     def matrix(self) -> np.ndarray:
-        """The code responses themselves, (samples, grid points); a fresh copy."""
-        return self.conjugate.conj()
+        """Every response, (samples, grid points); a dense reference for tests."""
+        return self.columns(np.arange(self.norms.size))
 
 
 def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid) -> GridDictionary:
+    code_t = np.ascontiguousarray(schedule.codes.T)
     el = np.deg2rad(grid.elevations_deg)
     az = np.deg2rad(grid.azimuths_deg)
-    f_row = np.cos(el)[:, None] * np.ones_like(az)[None, :]
-    f_col = np.sin(el)[:, None] * np.sin(az)[None, :]
     m_idx = np.arange(geom.rows)
     n_idx = np.arange(geom.cols)
-    row_phase = np.exp(-2j * np.pi * geom.row_spacing * np.outer(m_idx, f_row.ravel()))
-    col_phase = np.exp(-2j * np.pi * geom.col_spacing * np.outer(n_idx, f_col.ravel()))
-    atoms = (row_phase[:, None, :] * col_phase[None, :, :]).reshape(geom.n_elements, -1)
-    matrix = schedule.codes @ atoms
-    # dropping the atoms and overwriting the responses with their unit-norm
-    # conjugates keeps the build within the arrays the norm itself takes
-    del atoms
-    norms = np.linalg.norm(matrix, axis=0)
-    conjugate = matrix.conj()
-    unit_conjugate = np.divide(matrix, np.maximum(norms, 1e-300), out=matrix)
-    np.conjugate(unit_conjugate, out=unit_conjugate)
+    # conjugated phases exp(+2j pi d m f), per elevation and per grid point
+    row_conj = np.exp(2j * np.pi * geom.row_spacing * np.outer(np.cos(el), m_idx))
+    col_freq = np.sin(el)[:, None, None] * n_idx[None, :, None] * np.sin(az)[None, None, :]
+    col_conj = np.exp(2j * np.pi * geom.col_spacing * col_freq)
     peak_row = geom.row_spacing * np.cos(el)[:, None] * np.ones(az.size)[None, :]
     peak_col = geom.col_spacing * np.sin(el)[:, None] * np.sin(az)[None, :]
-    for a in (conjugate, unit_conjugate, norms, peak_row, peak_col):
-        a.flags.writeable = False
-    return GridDictionary(
-        grid=grid,
-        geometry=geom,
-        conjugate=conjugate,
-        unit_conjugate=unit_conjugate,
-        norms=norms,
-        peak_row=peak_row,
-        peak_col=peak_col,
-    )
+    norms = np.empty(el.size * az.size)  # filled from the factors once they are in place
+    dictionary = GridDictionary(grid, geom, code_t, row_conj, col_conj, norms, peak_row, peak_col)
+    norms[:] = np.linalg.norm(dictionary.matrix, axis=0)
+    for arr in (code_t, row_conj, col_conj, norms, peak_row, peak_col):
+        arr.flags.writeable = False
+    return dictionary
 
 
 def grid_spectrum(samples: np.ndarray, dictionary: GridDictionary) -> np.ndarray:
     """Matched-filter score per grid point: |response^H z|^2 / ||response||^2."""
-    z = np.asarray(samples, complex)
-    corr = dictionary.conjugate.T @ z
-    score = np.abs(corr) ** 2 / np.maximum(dictionary.norms**2, 1e-300)
-    return score.reshape(dictionary.grid.shape)
+    corr = dictionary.correlate(samples)
+    return np.abs(corr) ** 2 / np.maximum(dictionary.norms**2, 1e-300).reshape(corr.shape)
 
 
 def _parabolic_offset(left: float, mid: float, right: float) -> float:
@@ -141,8 +161,9 @@ def _pick_peaks(spectrum: np.ndarray, dictionary: GridDictionary, count: int):
             raise DegenerateInputError("spectrum exhausted before finding enough peaks")
         i, j = np.unravel_index(flat, work.shape)
         picks.append((int(i), int(j)))
-        dist2 = ((f_row - f_row[i, j]) * geom.rows) ** 2 + ((f_col - f_col[i, j]) * geom.cols) ** 2
-        work[dist2 < 1.0] = -np.inf
+        if len(picks) < count:
+            dist2 = ((f_row - f_row[i, j]) * geom.rows) ** 2 + ((f_col - f_col[i, j]) * geom.cols) ** 2
+            work[dist2 < 1.0] = -np.inf
     return picks
 
 
@@ -191,14 +212,15 @@ def omp_estimate(samples: np.ndarray, dictionary: GridDictionary, num_sources: i
     elevation.
     """
     z = np.asarray(samples, complex)
-    residual = z.copy()
+    residual = z
+    scale = np.maximum(dictionary.norms, 1e-300)
     chosen: list[int] = []
     for step in range(num_sources):
-        scores = np.abs(dictionary.unit_conjugate.T @ residual)
+        scores = np.abs(dictionary.correlate(residual)).ravel() / scale
         scores[chosen] = -1.0
         pick = int(np.argmax(scores))
         chosen.append(pick)
-        selected = dictionary.conjugate[:, chosen].conj()
+        selected = dictionary.columns(chosen)
         coef, _, rank, _ = np.linalg.lstsq(selected, z, rcond=None)
         if rank < len(chosen):
             raise DegenerateInputError(

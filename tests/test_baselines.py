@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from risdoa.baselines import (
     AngleGrid,
@@ -141,34 +141,35 @@ class TestOmp:
             omp_estimate(snap.samples, d, 2)
 
 
-def _reference_spectrum(z, d):
-    corr = d.matrix.conj().T @ z
-    return (np.abs(corr) ** 2 / np.maximum(d.norms**2, 1e-300)).reshape(d.grid.shape)
+def _dense_reference(geom, schedule, grid):
+    """Every response built column by column from its steering vector."""
+    atoms = [
+        steering_vector(geom, el, az) for el in grid.elevations_deg for az in grid.azimuths_deg
+    ]
+    return schedule.codes @ np.stack(atoms, axis=1)
 
 
-def _reference_omp(z, d, count):
-    """OMP from the raw responses, normalizing and conjugating on every pick."""
-    matrix = d.matrix
-    residual = z.copy()
+def _reference_omp(z, matrix, count):
+    """Dense OMP; rejects the example when a pick is a near tie that rounding can flip."""
+    norms = np.maximum(np.linalg.norm(matrix, axis=0), 1e-300)
+    residual = z
     chosen = []
     for step in range(count):
-        unit = matrix / np.maximum(d.norms, 1e-300)
-        scores = np.abs(unit.conj().T @ residual)
+        scores = np.abs(matrix.conj().T @ residual) / norms
         scores[chosen] = -1.0
+        top = np.sort(scores)[-2:]
+        assume(top.size < 2 or top[1] - top[0] > 1e-9 * top[1])
         chosen.append(int(np.argmax(scores)))
         selected = matrix[:, chosen]
         coef, _, rank, _ = np.linalg.lstsq(selected, z, rcond=None)
         if rank < len(chosen):
             raise DegenerateInputError(f"rank deficient after {step + 1} picks")
         residual = z - selected @ coef
-    rows, cols = np.unravel_index(chosen, d.grid.shape)
-    els = d.grid.elevations_deg[rows]
-    order = np.argsort(els)
-    return els[order], d.grid.azimuths_deg[cols][order]
+    return chosen
 
 
-class TestCachedDictionary:
-    @settings(max_examples=40, deadline=None)
+class TestFactoredDictionary:
+    @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(1, 5),
@@ -180,7 +181,7 @@ class TestCachedDictionary:
         step=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
         count=st.integers(1, 3),
     )
-    def test_spectrum_and_omp_match_the_raw_responses(
+    def test_spectrum_and_omp_match_a_dense_reference(
         self, seed, rows, cols, samples, el_start, az_start, span, step, count
     ):
         rng = np.random.default_rng(seed)
@@ -188,16 +189,25 @@ class TestCachedDictionary:
         schedule = build_code_schedule(samples, geom.n_elements, seed=seed)
         grid = AngleGrid.from_ranges((el_start, el_start + span), (az_start, az_start + span), step)
         d = build_dictionary(geom, schedule, grid)
+        matrix = _dense_reference(geom, schedule, grid)
         z = rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
-        assert np.array_equal(grid_spectrum(z, d), _reference_spectrum(z, d))
+        # the factored sums round differently from the dense product
+        expected = np.abs(matrix.conj().T @ z) ** 2 / np.linalg.norm(matrix, axis=0) ** 2
+        spectrum = grid_spectrum(z, d)
+        assert spectrum.shape == grid.shape
+        assert np.max(np.abs(spectrum.ravel() - expected)) <= 1e-12 * expected.max()
         try:
-            expected = _reference_omp(z, d, count)
+            chosen = _reference_omp(z, matrix, count)
         except DegenerateInputError:
             with pytest.raises(DegenerateInputError):
                 omp_estimate(z, d, count)
             return
+        rows_, cols_ = np.unravel_index(chosen, grid.shape)
+        els = grid.elevations_deg[rows_]
+        order = np.argsort(els)
         got = omp_estimate(z, d, count)
-        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[0], els[order])
+        assert np.array_equal(got[1], grid.azimuths_deg[cols_][order])
 
     def test_peak_frequencies_are_the_scaled_spatial_frequencies(self):
         grid = AngleGrid.from_ranges(*BOX, 3.0)
@@ -207,18 +217,44 @@ class TestCachedDictionary:
         np.testing.assert_allclose(d.peak_row, GEOM.row_spacing * np.cos(el) * np.ones_like(az))
         np.testing.assert_allclose(d.peak_col, GEOM.col_spacing * np.sin(el) * np.sin(az))
 
-    def test_cached_arrays_are_read_only_and_matrix_is_a_copy(self):
-        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 5.0))
-        for name in ("conjugate", "unit_conjugate", "norms", "peak_row", "peak_col"):
+    def test_factors_are_read_only_and_no_dense_copy_is_held(self):
+        d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
+        held = {k: v for k, v in vars(d).items() if isinstance(v, np.ndarray)}
+        assert set(held) == {"code_t", "row_conj", "col_conj", "norms", "peak_row", "peak_col"}
+        dense = (SCHEDULE.sample_count, d.norms.size)
+        for name, array in held.items():
+            assert array.size < dense[0] * dense[1], name
             with pytest.raises(ValueError, match="read-only"):
-                getattr(d, name)[...] = 0
+                array[...] = 0
+        # all factors together take under a quarter of one dense complex copy
+        assert sum(a.nbytes for a in held.values()) < dense[0] * dense[1] * 16 / 4
         matrix = d.matrix
-        np.testing.assert_allclose(np.linalg.norm(matrix, axis=0), d.norms)
         matrix[...] = 0
-        assert np.all(d.conjugate != 0)
-        # the dictionary keeps two (samples, grid points) arrays, not three
-        held = [v for v in vars(d).values() if isinstance(v, np.ndarray) and v.shape == matrix.shape]
-        assert len(held) == 2
+        assert np.all(d.matrix != 0)
+
+
+ESTIMATORS = pytest.mark.parametrize("estimate", [grid_estimate, omp_estimate], ids=["fft", "omp"])
+
+
+class TestSnapshotChecks:
+    def setup_method(self):
+        self.d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
+        self.z = clean_snapshot(SourceSet([40.0], [10.0], [1.0 + 0j])).samples
+
+    @ESTIMATORS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("everywhere", [True, False])
+    def test_non_finite_samples_raise(self, estimate, bad, everywhere):
+        # OMP used to return the grid corner as an estimate of an all-NaN snapshot
+        z = np.full_like(self.z, bad) if everywhere else self.z.copy()
+        z[3] = bad
+        with pytest.raises(DegenerateInputError, match=r"samples \[(0, 1, .*)?3.*NaN or inf"):
+            estimate(z, self.d, 2)
+
+    @ESTIMATORS
+    def test_wrong_snapshot_length_names_both_lengths(self, estimate):
+        with pytest.raises(ValueError, match=r"must hold 64 samples, got shape \(63,\)"):
+            estimate(self.z[:63], self.d, 1)
 
 
 class TestBound:
