@@ -46,6 +46,11 @@ class AngleGrid:
         return float(self.elevations_deg[i]), float(self.azimuths_deg[j])
 
 
+# a response whose norm is under this fraction of the largest is zero up to
+# the rounding of its sums (C times an atom in C's null space)
+_VANISHING = 1e-10
+
+
 @dataclass(frozen=True)
 class GridDictionary:
     """Ideal-code responses for every grid point, kept in factored form.
@@ -65,7 +70,9 @@ class GridDictionary:
     code_t is C^T (elements, samples), stored complex so the first product
     needs no cast; row_conj holds conj(r_e) (elevations, rows); col_conj
     holds conj(c_ea) (elevations, cols, azimuths); norms are the response
-    norms, elevation-major. peak_row and peak_col are the grid's spatial
+    norms, elevation-major, with inf for a response that vanishes to
+    rounding (under _VANISHING of the largest), so that its score, rounding
+    noise over a zero norm, comes out 0. peak_row and peak_col are the grid's spatial
     frequencies times the element spacings, the coordinates peak picking
     measures distances in. All arrays are read-only, since one dictionary
     serves every cell of a run.
@@ -123,6 +130,7 @@ def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid)
     norms = np.empty(el.size * az.size)  # filled from the factors once they are in place
     dictionary = GridDictionary(grid, geom, code_t, row_conj, col_conj, norms, peak_row, peak_col)
     norms[:] = np.linalg.norm(dictionary.matrix, axis=0)
+    norms[norms <= _VANISHING * norms.max()] = np.inf
     for arr in (code_t, row_conj, col_conj, norms, peak_row, peak_col):
         arr.flags.writeable = False
     return dictionary
@@ -131,7 +139,7 @@ def build_dictionary(geom: RisGeometry, schedule: CodeSchedule, grid: AngleGrid)
 def grid_spectrum(samples: np.ndarray, dictionary: GridDictionary) -> np.ndarray:
     """Matched-filter score per grid point: |response^H z|^2 / ||response||^2."""
     corr = dictionary.correlate(samples)
-    return np.abs(corr) ** 2 / np.maximum(dictionary.norms**2, 1e-300).reshape(corr.shape)
+    return np.abs(corr) ** 2 / dictionary.norms.reshape(corr.shape) ** 2
 
 
 def _parabolic_offset(left: float, mid: float, right: float) -> float:
@@ -213,10 +221,9 @@ def omp_estimate(samples: np.ndarray, dictionary: GridDictionary, num_sources: i
     """
     z = np.asarray(samples, complex)
     residual = z
-    scale = np.maximum(dictionary.norms, 1e-300)
     chosen: list[int] = []
     for step in range(num_sources):
-        scores = np.abs(dictionary.correlate(residual)).ravel() / scale
+        scores = np.abs(dictionary.correlate(residual)).ravel() / dictionary.norms
         scores[chosen] = -1.0
         pick = int(np.argmax(scores))
         chosen.append(pick)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from risdoa.baselines import (
     AngleGrid,
@@ -21,6 +21,7 @@ from risdoa.baselines import (
 )
 from risdoa.errors import DegenerateInputError, SingularFimError
 from risdoa.model import (
+    CodeSchedule,
     RisGeometry,
     SourceSet,
     build_code_schedule,
@@ -149,9 +150,15 @@ def _dense_reference(geom, schedule, grid):
     return schedule.codes @ np.stack(atoms, axis=1)
 
 
+def _reference_norms(matrix):
+    """Column norms, with inf for a column that vanishes to rounding, which then scores 0."""
+    norms = np.linalg.norm(matrix, axis=0)
+    return np.where(norms > 1e-10 * norms.max(), norms, np.inf)
+
+
 def _reference_omp(z, matrix, count):
     """Dense OMP; rejects the example when a pick is a near tie that rounding can flip."""
-    norms = np.maximum(np.linalg.norm(matrix, axis=0), 1e-300)
+    norms = _reference_norms(matrix)
     residual = z
     chosen = []
     for step in range(count):
@@ -181,6 +188,8 @@ class TestFactoredDictionary:
         step=st.sampled_from([0.7, 1.0, 2.5, 5.0]),
         count=st.integers(1, 3),
     )
+    # a one-point grid at azimuth 0 whose only response is exactly zero
+    @example(seed=38485, rows=1, cols=2, samples=2, el_start=5.0, az_start=0.0, span=0.0, step=0.7, count=1)
     def test_spectrum_and_omp_match_a_dense_reference(
         self, seed, rows, cols, samples, el_start, az_start, span, step, count
     ):
@@ -192,7 +201,7 @@ class TestFactoredDictionary:
         matrix = _dense_reference(geom, schedule, grid)
         z = rng.standard_normal(samples) + 1j * rng.standard_normal(samples)
         # the factored sums round differently from the dense product
-        expected = np.abs(matrix.conj().T @ z) ** 2 / np.linalg.norm(matrix, axis=0) ** 2
+        expected = np.abs(matrix.conj().T @ z) ** 2 / _reference_norms(matrix) ** 2
         spectrum = grid_spectrum(z, d)
         assert spectrum.shape == grid.shape
         assert np.max(np.abs(spectrum.ravel() - expected)) <= 1e-12 * expected.max()
@@ -216,6 +225,21 @@ class TestFactoredDictionary:
         az = np.deg2rad(grid.azimuths_deg)[None, :]
         np.testing.assert_allclose(d.peak_row, GEOM.row_spacing * np.cos(el) * np.ones_like(az))
         np.testing.assert_allclose(d.peak_col, GEOM.col_spacing * np.sin(el) * np.sin(az))
+
+    def test_responses_in_the_code_null_space_score_zero(self):
+        # every 4-element code row sums to zero, so at azimuth 0 (column
+        # phases all 1) the response is exactly zero, while the factored
+        # sums leave rounding noise that a zero norm would blow up
+        geom = RisGeometry(2, 4)
+        bits = np.array([[0, 1, 1, 0, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 0], [1, 0, 1, 0, 0, 1, 0, 1]])
+        grid = AngleGrid(np.array([30.0, 50.0, 70.0]), np.array([-10.0, 0.0, 10.0]))
+        d = build_dictionary(geom, CodeSchedule(bits), grid)
+        z = np.array([0.3 - 1.2j, -0.8 + 0.1j, 1.1 + 0.6j])
+        spectrum = grid_spectrum(z, d)
+        assert np.all(spectrum[:, 1] == 0.0) and np.all(spectrum[:, [0, 2]] > 0.1)
+        i, j = np.unravel_index(np.argmax(spectrum), grid.shape)
+        els, azs = omp_estimate(z, d, 1)
+        assert (els[0], azs[0]) == grid.point(i, j)
 
     def test_factors_are_read_only_and_no_dense_copy_is_held(self):
         d = build_dictionary(GEOM, SCHEDULE, AngleGrid.from_ranges(*BOX, 1.0))
@@ -245,7 +269,7 @@ class TestSnapshotChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("everywhere", [True, False])
     def test_non_finite_samples_raise(self, estimate, bad, everywhere):
-        # OMP used to return the grid corner as an estimate of an all-NaN snapshot
+        # a non-finite snapshot fails as a trial; it must not come back as a grid point
         z = np.full_like(self.z, bad) if everywhere else self.z.copy()
         z[3] = bad
         with pytest.raises(DegenerateInputError, match=r"samples \[(0, 1, .*)?3.*NaN or inf"):
