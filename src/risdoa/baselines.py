@@ -72,10 +72,10 @@ class GridDictionary:
     holds conj(c_ea) (elevations, cols, azimuths); norms are the response
     norms, elevation-major, with inf for a response that vanishes to
     rounding (under _VANISHING of the largest), so that its score, rounding
-    noise over a zero norm, comes out 0. peak_row and peak_col are the grid's spatial
-    frequencies times the element spacings, the coordinates peak picking
-    measures distances in. All arrays are read-only, since one dictionary
-    serves every cell of a run.
+    noise over a zero norm, comes out 0. peak_row and peak_col are the
+    grid's spatial frequencies times the element spacings, the coordinates
+    peak picking measures distances in. All arrays are read-only, since one
+    dictionary serves every cell of a run.
     """
 
     grid: AngleGrid
