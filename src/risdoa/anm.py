@@ -358,15 +358,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """What a converged solve reports; a solve that does not converge raises.
+
+    iterations is written to trials.csv by the benchmark harness, and
+    trace_objective is the value atomic_norm returns. The tests of the
+    safeguards read the rest: rho_final those of step-size balancing, the
+    root-solve counts those of the ball projection and the Anderson counts
+    those of the acceleration. Each costs only an increment.
+    """
+
     iterations: int
-    converged: bool
-    primal_residual: float
-    dual_residual: float
     trace_objective: float
-    data_residual: float
-    min_eigenvalue: float
     rho_final: float
-    mode: str
     # noise-ball projections that solved for a multiplier, the secular
     # equation evaluations they took and how many fell back to brentq
     root_solves: int = 0
@@ -450,9 +453,8 @@ class _DataStep:
     def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0):
         self.mode = mode
         self.radius = float(radius)
-        self.G, self.z = G, np.asarray(z, dtype=complex)
         U, s, self.Vh, self.V, rank = code_svd(G)  # V maps the SVD basis back
-        zt = U.conj().T @ self.z
+        zt = U.conj().T @ np.asarray(z, dtype=complex)
         self.rank = rank
         self.s = s[:rank]
         self.s_sq = self.s**2
@@ -562,9 +564,6 @@ class _DataStep:
             return self.ball_project(v)
         return self.penalty_solve(v, rho)
 
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.z - self.G @ x))
-
     def penalty_solve(self, v: np.ndarray, rho: float) -> np.ndarray:
         # argmin_x 0.5 ||z - G x||^2 + rho ||x - v||^2 (x enters the bordered
         # matrix twice, hence the doubled quadratic weight)
@@ -576,7 +575,6 @@ class _DataStep:
 class _FixedCoupling:
     """The atomic mode's coupling: the observed block is held at x itself."""
 
-    mode = "atomic"
     rho0 = 1.0
     root_solves = secular_evaluations = brentq_fallbacks = 0
 
@@ -585,9 +583,6 @@ class _FixedCoupling:
 
     def couple(self, v: np.ndarray, rho: float) -> np.ndarray:
         return self.x
-
-    def residual(self, x: np.ndarray) -> float:
-        return 0.0
 
 
 def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) -> float:
@@ -784,18 +779,10 @@ def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
                 dual_residual=r_dual,
             )
         Q = smat(Q)
-        min_eigenvalue = float(np.linalg.eigvalsh(Q)[0])
-    k = grids[0][0] * grids[0][1]
     diagnostics = SolverDiagnostics(
         iterations=it,
-        converged=True,
-        primal_residual=r_pri,
-        dual_residual=r_dual,
         trace_objective=0.5 * float(np.trace(Q).real),
-        data_residual=data.residual(Q[:k, k:].reshape(-1)),
-        min_eigenvalue=min_eigenvalue,
         rho_final=rho,
-        mode=data.mode,
         root_solves=data.root_solves,
         secular_evaluations=data.secular_evaluations,
         brentq_fallbacks=data.brentq_fallbacks,
@@ -850,7 +837,7 @@ def solve_full_anm(
     mn = M * N
     if mn > config.size_cap:
         raise SizeCapError(f"MN = {mn} exceeds size_cap={config.size_cap} for the full program")
-    if (x is None) == (z is None or G is None):
+    if (x is None, z is None, G is None) not in ((False, True, True), (True, False, False)):
         raise ValueError("pass exactly one of x or the pair (z, G)")
     if x is None:
         data, weight = _coupling(config, z, G, noise_power, mn)

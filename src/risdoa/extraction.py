@@ -1,6 +1,6 @@
 """Angle recovery from the structured solver output.
 
-The per-axis Toeplitz factors carry the source frequencies as damped-free
+The per-axis Toeplitz factors carry the source frequencies as undamped
 exponentials in their first column. A single-snapshot linear predictor turns
 that column into an annihilating polynomial whose roots, projected to the
 unit circle, give the frequencies; row and column frequencies are then
@@ -15,8 +15,6 @@ rooted directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import toeplitz as build_toeplitz
 from scipy.optimize import linear_sum_assignment
@@ -24,25 +22,6 @@ from scipy.optimize import linear_sum_assignment
 from .anm import DecoupledSdpVars, FullSdpVars, full_toeplitz_marginals
 from .errors import DegenerateInputError, EndfirePoleError
 from .model import RisGeometry, axis_atom
-
-
-@dataclass(frozen=True)
-class DoaEstimate:
-    """Paired angle estimates sorted by elevation, plus fit diagnostics.
-
-    pair_residuals measure the misfit amplitude each atom pair still sees
-    after subtracting the joint rank-1 rebuild, and fit_residual is the
-    relative Frobenius misfit of that rebuild.
-    """
-
-    elevations_deg: np.ndarray
-    azimuths_deg: np.ndarray
-    pair_residuals: np.ndarray
-    fit_residual: float
-
-    @property
-    def count(self) -> int:
-        return self.elevations_deg.size
 
 
 def toeplitz_to_freqs(T: np.ndarray, num_freqs: int, spacing: float) -> np.ndarray:
@@ -78,18 +57,18 @@ def toeplitz_to_freqs(T: np.ndarray, num_freqs: int, spacing: float) -> np.ndarr
 
 
 def pairing_scores(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry) -> np.ndarray:
-    """Response magnitude of X to every (row, column) frequency combination."""
+    """Response magnitude of X to every (row, column) frequency combination.
+
+    Entry (i, j) is |u_i^H X w_j|, computed as one product |U^H X W| over
+    the row atoms U and the conjugated column atoms W.
+    """
     X = np.asarray(X, dtype=complex)
     if X.shape != (geom.rows, geom.cols):
         raise ValueError(f"X must be {geom.rows}x{geom.cols}")
-    rows = [axis_atom(f, geom.rows, geom.row_spacing) for f in np.atleast_1d(row_freqs)]
+    U = np.stack([axis_atom(f, geom.rows, geom.row_spacing) for f in np.atleast_1d(row_freqs)], axis=1)
     # column steering enters X conjugated, see module docstring
-    cols = [axis_atom(f, geom.cols, geom.col_spacing).conj() for f in np.atleast_1d(col_freqs)]
-    S = np.empty((len(rows), len(cols)))
-    for i, u in enumerate(rows):
-        for j, w in enumerate(cols):
-            S[i, j] = abs(u.conj() @ X @ w)
-    return S
+    W = np.stack([axis_atom(f, geom.cols, geom.col_spacing) for f in np.atleast_1d(col_freqs)], axis=1)
+    return np.abs(U.conj().T @ X @ W.conj())
 
 
 def pair_frequencies(row_freqs, col_freqs, X: np.ndarray, geom: RisGeometry):
@@ -120,38 +99,29 @@ def freqs_to_angles(f_row: float, f_col: float):
     return theta, phi
 
 
-def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry) -> DoaEstimate:
+def _assemble_estimate(row_freqs, col_freqs, X, geom: RisGeometry):
     pairs = pair_frequencies(row_freqs, col_freqs, X, geom)
     angles = [freqs_to_angles(row_freqs[i], col_freqs[j]) for i, j in pairs]
-    rows = [axis_atom(row_freqs[i], geom.rows, geom.row_spacing) for i, _ in pairs]
-    cols = [axis_atom(col_freqs[j], geom.cols, geom.col_spacing) for _, j in pairs]
-    basis = np.stack([np.outer(u, v).reshape(-1) for u, v in zip(rows, cols)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, X.reshape(-1), rcond=None)
-    rebuild = (basis @ coef).reshape(geom.rows, geom.cols)
-    err = X - rebuild
-    x_norm = max(float(np.linalg.norm(X)), 1e-300)
-    scale = np.sqrt(geom.rows * geom.cols)
-    pair_res = [abs(u.conj() @ err @ v.conj()) / scale for u, v in zip(rows, cols)]
-    order = np.argsort([a[0] for a in angles], kind="stable")
-    angles = np.asarray(angles)[order]
-    return DoaEstimate(
-        elevations_deg=angles[:, 0],
-        azimuths_deg=angles[:, 1],
-        pair_residuals=np.asarray(pair_res)[order],
-        fit_residual=float(np.linalg.norm(err)) / x_norm,
-    )
+    angles = np.array(sorted(angles, key=lambda a: a[0]))  # stable, by elevation
+    return angles[:, 0], angles[:, 1]
 
 
-def estimate_doa(vars: DecoupledSdpVars, geom: RisGeometry, num_sources: int) -> DoaEstimate:
-    """Full extraction from a decoupled solution: root, pair, map to angles."""
+def estimate_doa(vars: DecoupledSdpVars, geom: RisGeometry, num_sources: int):
+    """Full extraction from a decoupled solution: root, pair, map to angles.
+
+    Returns (elevations_deg, azimuths_deg) sorted by elevation.
+    """
     row = toeplitz_to_freqs(vars.T_x, num_sources, geom.row_spacing)
     # T_y carries conjugated atoms, see module docstring
     col = toeplitz_to_freqs(vars.T_y.conj(), num_sources, geom.col_spacing)
     return _assemble_estimate(row, col, vars.X, geom)
 
 
-def estimate_from_full(vars: FullSdpVars, geom: RisGeometry, num_sources: int) -> DoaEstimate:
-    """Extraction from a full bordered solution via its per-axis marginals."""
+def estimate_from_full(vars: FullSdpVars, geom: RisGeometry, num_sources: int):
+    """Extraction from a full bordered solution via its per-axis marginals.
+
+    Returns (elevations_deg, azimuths_deg) sorted by elevation.
+    """
     t_row, t_col = full_toeplitz_marginals(vars.T, geom.rows, geom.cols)
     row = toeplitz_to_freqs(t_row, num_sources, geom.row_spacing)
     col = toeplitz_to_freqs(t_col, num_sources, geom.col_spacing)

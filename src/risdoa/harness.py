@@ -207,10 +207,11 @@ def _reconstruction_budget(recon, nominal: float, codes: np.ndarray) -> float:
 
 
 def _estimate(method: str, snap, recon, sources):
-    """Run one estimator; returns (elevations, azimuths) or a bound value.
+    """Run one estimator; returns its result and the solve's iteration count.
 
-    The second return value is the solver diagnostics of dnn-danm and
-    anm-denoise, None for every other method.
+    The result is (elevations, azimuths) sorted by elevation, or the bound
+    value for crb. The count is that of the dnn-danm or anm-denoise solve,
+    and None for every other method.
     """
     ctx = _CTX
     scenario = ctx["scenario"]
@@ -226,14 +227,12 @@ def _estimate(method: str, snap, recon, sources):
         codes = ctx["schedule"].codes
         budget = _reconstruction_budget(recon, total_noise, codes)
         vars = solve_danm(recon, codes, geom, ctx["danm_config"], noise_power=budget)
-        est = estimate_doa(vars, geom, count)
-        return (est.elevations_deg, est.azimuths_deg), vars.diagnostics
+        return estimate_doa(vars, geom, count), vars.diagnostics.iterations
     if method == "anm-denoise":
         vars = solve_full_anm(
             geom, ctx["full_config"], z=recon, G=ctx["schedule"].codes, noise_power=total_noise
         )
-        est = estimate_from_full(vars, geom, count)
-        return (est.elevations_deg, est.azimuths_deg), vars.diagnostics
+        return estimate_from_full(vars, geom, count), vars.diagnostics.iterations
     if method == "crb":
         return crb_numeric(geom, ctx["schedule"], sources, snap.noise_power), None
     raise ConfigError(f"unknown method {method!r}")
@@ -260,10 +259,10 @@ def _run_cell(task):
     count = sources.count
     records = []
     for method in plan.methods:
-        els, azs, sq, error, diagnostics = (), (), None, "", None
+        els, azs, sq, error, iterations = (), (), None, "", None
         start = time.perf_counter()
         try:
-            result, diagnostics = _estimate(method, snap, recon, sources)
+            result, iterations = _estimate(method, snap, recon, sources)
         except (RisDoaError, ValueError, np.linalg.LinAlgError) as err:
             error = f"{type(err).__name__}: {err}"
         seconds = time.perf_counter() - start
@@ -273,7 +272,6 @@ def _run_cell(task):
         elif not error:
             sq = matched_squared_error(*result, true_el, true_az)
             els, azs = (tuple(float(v) for v in a) for a in result)
-        iterations = None if diagnostics is None else diagnostics.iterations
         records.append(
             TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error, iterations)
         )

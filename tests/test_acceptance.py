@@ -71,14 +71,14 @@ def _report(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _paired_max_err(est, src) -> float:
+def _paired_max_err(els, azs, src) -> float:
     """Worst absolute angle error under the best target assignment."""
     best = math.inf
     k = len(src.elevations_deg)
     for perm in itertools.permutations(range(k)):
         err = max(
-            max(abs(est.elevations_deg[i] - src.elevations_deg[p]) for i, p in enumerate(perm)),
-            max(abs(est.azimuths_deg[i] - src.azimuths_deg[p]) for i, p in enumerate(perm)),
+            max(abs(els[i] - src.elevations_deg[p]) for i, p in enumerate(perm)),
+            max(abs(azs[i] - src.azimuths_deg[p]) for i, p in enumerate(perm)),
         )
         best = min(best, err)
     return best
@@ -101,12 +101,12 @@ def _exact_recovery_run(csv_path) -> float:
             src = sample_sources(RANDOM_PAIR, seed=1000 + trial)
             snap = synthesize_ideal(geom, sched, src, snr_db=math.inf, seed=0)
             vars = solve_danm(snap.samples, codes, geom, config, noise_power=0.0)
-            est = estimate_doa(vars, geom, 2)
-            worst = max(worst, _paired_max_err(est, src))
+            els, azs = estimate_doa(vars, geom, 2)
+            worst = max(worst, _paired_max_err(els, azs, src))
             for k in range(2):
                 fh.write(
                     f"{trial},{k},{src.elevations_deg[k]!r},{src.azimuths_deg[k]!r},"
-                    f"{est.elevations_deg[k]!r},{est.azimuths_deg[k]!r}\n"
+                    f"{els[k]!r},{azs[k]!r}\n"
                 )
     return worst
 

@@ -354,7 +354,7 @@ class TestBlasThreadPin:
         try:
             assert len(anm._blas_thread_controls()) == 1  # scipy's pool only
             seen = _record_threads_in_projection(monkeypatch, blas_pools)
-            assert _small_danm().diagnostics.converged
+            _small_danm()
         finally:
             anm._blas_thread_controls.cache_clear()
         # numpy's pool keeps its two threads throughout; scipy's is pinned
@@ -634,13 +634,14 @@ class TestDecoupledSolver:
         geom = RisGeometry(4, 4)
         G = build_code_schedule(16, 16, seed=2).codes
         x = steering_vector(geom, 55.0, 10.0)
-        vars = solve_danm(G @ x, G, geom, noise_power=0.0)
+        z = G @ x
+        vars = solve_danm(z, G, geom, noise_power=0.0)
         rel = np.linalg.norm(vars.X.reshape(-1) - x) / np.linalg.norm(x)
         assert rel < 1e-3
-        d = vars.diagnostics
         # tolerance is relative to the iterate scale, so is the cone violation
-        assert d.converged and d.min_eigenvalue > -1e-5 * max(1.0, d.trace_objective)
-        assert d.data_residual < 1e-6
+        min_eigenvalue = np.linalg.eigvalsh(_bordered(vars))[0]
+        assert min_eigenvalue > -1e-5 * max(1.0, vars.diagnostics.trace_objective)
+        assert np.linalg.norm(z - G @ vars.X.reshape(-1)) < 1e-6
 
     def test_two_atom_objective_equals_weight_sum(self):
         geom = RisGeometry(4, 4)
@@ -669,8 +670,9 @@ class TestDecoupledSolver:
         x = steering_vector(geom, 70.0, 25.0)
         noise = 0.1 * _rand_complex(rng, 12)
         budget = float(np.vdot(noise, noise).real)
-        vars = solve_danm(G @ x + noise, G, geom, noise_power=budget)
-        assert vars.diagnostics.data_residual <= math.sqrt(budget) + 1e-6
+        z = G @ x + noise
+        vars = solve_danm(z, G, geom, noise_power=budget)
+        assert np.linalg.norm(z - G @ vars.X.reshape(-1)) <= math.sqrt(budget) + 1e-6
 
     def test_regularized_mode_runs(self):
         geom = RisGeometry(3, 3)
@@ -794,6 +796,11 @@ class TestFullSolver:
             solve_full_anm(geom)
         with pytest.raises(ValueError):
             solve_full_anm(geom, x=np.zeros(4), z=np.zeros(4), G=np.eye(4))
+        # x with only half of the observation pair is refused, not ignored
+        with pytest.raises(ValueError):
+            solve_full_anm(geom, x=np.zeros(4), z=np.ones(7))
+        with pytest.raises(ValueError):
+            solve_full_anm(geom, x=np.zeros(4), G=np.eye(3))
 
 
 def _desk_problem(seed: int, snr_db: float):
@@ -869,7 +876,7 @@ class TestAndersonAcceleration:
         # oversized or missing coefficients are refused before the point is
         # evaluated; a misleading extrapolation is taken, then undone
         assert taken == [coefficients == "misleading"] * 5
-        assert d.converged and d.anderson_rejections == 5
+        assert d.anderson_rejections == 5
         # each refusal clears the history, so the next extrapolation has one difference
         assert memory[:6] == [1] * 6
         assert _relative_distance(sol, unforced) <= config.tolerance
@@ -951,12 +958,8 @@ class TestAndersonAcceleration:
             estimate_from_full(solve(SolverConfig(mode="regularized", tolerance=tol)), geom, 2)
             for tol in (1e-6, 1e-10)
         )
-        np.testing.assert_allclose(
-            [default.elevations_deg, default.azimuths_deg],
-            [tight.elevations_deg, tight.azimuths_deg],
-            rtol=0.0,
-            atol=5e-3,
-        )
+        # each is (elevations, azimuths)
+        np.testing.assert_allclose(default, tight, rtol=0.0, atol=5e-3)
 
 
 def _start_rho(monkeypatch, solve):
@@ -1023,7 +1026,7 @@ class TestStepSizeStart:
         solve = partial(solve_full_anm, geom, config, z=z, G=np.zeros((9, 9)))
         rho, sol = _start_rho(monkeypatch, solve)
         assert rho == 1.0
-        assert sol.diagnostics.converged and np.linalg.norm(sol.x) < 1e-6
+        assert np.linalg.norm(sol.x) < 1e-6
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -1100,7 +1103,18 @@ def _solution_digest(solves) -> str:
             digest.update(np.ascontiguousarray(a).tobytes())
         if hasattr(sol, "t"):
             digest.update(repr(sol.t).encode())
-        digest.update(repr(sol.diagnostics).encode())
+        d = sol.diagnostics
+        kept = (
+            d.iterations,
+            d.trace_objective,
+            d.rho_final,
+            d.root_solves,
+            d.secular_evaluations,
+            d.brentq_fallbacks,
+            d.anderson_steps,
+            d.anderson_rejections,
+        )
+        digest.update(repr(kept).encode())
     return digest.hexdigest()
 
 
@@ -1111,9 +1125,9 @@ def pinned_solves():
 
 # one digest per mode, so a change to one coupling shows which pins it moved
 _PINNED_DIGESTS = {
-    "noise-ball": "3edbfc6e1e2054139a52fc9fb44382c3a2eb481d593a8dd5f3ff7901abd0bb1a",
-    "regularized": "239c534c8a98ba3b2abaa0a803c7eb6a6185491badb8d609bd5bcbe97efc9c69",
-    "atomic": "6c34d35809bdb596761b65741912a0e9c3accd6eb19651752aa03f5a550e8fde",
+    "noise-ball": "232e03b1e196dc320533c8f205cfe5cf8571b03204318cde51f3af4aec7ccf0e",
+    "regularized": "4836c07f8aa5f7e6bdda3270a89a5d464bcefa1c0dff01c9364868dfe5f21a73",
+    "atomic": "231375946a21f8248c28e7e6a559f0e82434c9395cdd1cd5b510c44ad257e944",
 }
 
 

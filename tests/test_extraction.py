@@ -28,17 +28,7 @@ from risdoa.model import (
     synthesize_ideal,
 )
 
-_DUMMY_DIAG = SolverDiagnostics(
-    iterations=0,
-    converged=True,
-    primal_residual=0.0,
-    dual_residual=0.0,
-    trace_objective=0.0,
-    data_residual=0.0,
-    min_eigenvalue=0.0,
-    rho_final=1.0,
-    mode="noise-ball",
-)
+_DUMMY_DIAG = SolverDiagnostics(iterations=0, trace_objective=0.0, rho_final=1.0)
 
 
 def _rank_one_X(geom, f_pairs, weights):
@@ -158,6 +148,26 @@ class TestPairing:
         assert S[0, 0] == pytest.approx(30.0, rel=1e-9)
         assert S[0, 0] > 2.0 * max(S[0, 1], S[1, 0], S[1, 1])
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(1, 4), cols=st.integers(1, 4))
+    def test_scores_match_one_response_per_pair(self, seed, rows, cols):
+        # the reference takes |u^H X w| one pair at a time; the product sums
+        # in another order, so agreement is to rounding of the M N terms
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        f_rows, f_cols = rng.uniform(-1.0, 1.0, rows), rng.uniform(-1.0, 1.0, cols)
+        expected = [
+            [
+                abs(axis_atom(f_r, 5, self.GEOM.row_spacing).conj() @ X
+                    @ axis_atom(f_c, 6, self.GEOM.col_spacing).conj())
+                for f_c in f_cols
+            ]
+            for f_r in f_rows
+        ]
+        S = pairing_scores(f_rows, f_cols, X, self.GEOM)
+        atol = 4 * X.size * np.finfo(float).eps * np.abs(X).sum()
+        np.testing.assert_allclose(S, expected, rtol=0.0, atol=atol)
+
 
 class TestManufacturedSolutions:
     """Construction oracles pin the sign conventions of both solver outputs."""
@@ -172,12 +182,12 @@ class TestManufacturedSolutions:
         T_y = toeplitz_from_atoms(f_cols, weights, geom.cols, geom.col_spacing).conj()
         X = _rank_one_X(geom, list(zip(f_rows, f_cols)), weights)
         vars = DecoupledSdpVars(T_x=T_x, T_y=T_y, X=X, diagnostics=_DUMMY_DIAG)
-        est = estimate_doa(vars, geom, 2)
+        els, azs = estimate_doa(vars, geom, 2)
         expected = sorted(
             freqs_to_angles(f_r, f_c) for f_r, f_c in zip(f_rows, f_cols)
         )
-        np.testing.assert_allclose(est.elevations_deg, [e[0] for e in expected], atol=1e-6)
-        np.testing.assert_allclose(est.azimuths_deg, [e[1] for e in expected], atol=1e-6)
+        np.testing.assert_allclose(els, [e[0] for e in expected], atol=1e-6)
+        np.testing.assert_allclose(azs, [e[1] for e in expected], atol=1e-6)
 
     def test_full_marginal_conventions(self):
         geom = RisGeometry(5, 5)
@@ -193,12 +203,12 @@ class TestManufacturedSolutions:
             T += w * np.outer(vec, vec.conj())
             x += w * vec
         vars = FullSdpVars(T=T, t=sum(weights), x=x, diagnostics=_DUMMY_DIAG)
-        est = estimate_from_full(vars, geom, 2)
+        els, azs = estimate_from_full(vars, geom, 2)
         expected = sorted(
             freqs_to_angles(f_r, f_c) for f_r, f_c in zip(f_rows, f_cols)
         )
-        np.testing.assert_allclose(est.elevations_deg, [e[0] for e in expected], atol=1e-6)
-        np.testing.assert_allclose(est.azimuths_deg, [e[1] for e in expected], atol=1e-6)
+        np.testing.assert_allclose(els, [e[0] for e in expected], atol=1e-6)
+        np.testing.assert_allclose(azs, [e[1] for e in expected], atol=1e-6)
 
 
 class TestEndToEnd:
@@ -211,20 +221,18 @@ class TestEndToEnd:
         geom = RisGeometry(8, 8)
         src = SourceSet([40.0, 70.0], [-20.0, 25.0], [1.0 + 0.3j, -0.6 + 0.8j])
         vars = self._solve(src, geom, 64, seed=0)
-        est = estimate_doa(vars, geom, 2)
-        np.testing.assert_allclose(est.elevations_deg, [40.0, 70.0], atol=0.1)
-        np.testing.assert_allclose(est.azimuths_deg, [-20.0, 25.0], atol=0.1)
-        assert est.fit_residual < 1e-2
-        assert est.pair_residuals.max() < 1e-2
+        els, azs = estimate_doa(vars, geom, 2)
+        np.testing.assert_allclose(els, [40.0, 70.0], atol=0.1)
+        np.testing.assert_allclose(azs, [-20.0, 25.0], atol=0.1)
 
     def test_source_order_invariance(self):
         geom = RisGeometry(8, 8)
         a = SourceSet([40.0, 70.0], [-20.0, 25.0], [1.0, 1.0j])
         b = SourceSet([70.0, 40.0], [25.0, -20.0], [1.0j, 1.0])
-        ea = estimate_doa(self._solve(a, geom, 64, seed=1), geom, 2)
-        eb = estimate_doa(self._solve(b, geom, 64, seed=1), geom, 2)
-        np.testing.assert_allclose(ea.elevations_deg, eb.elevations_deg, atol=1e-6)
-        np.testing.assert_allclose(ea.azimuths_deg, eb.azimuths_deg, atol=1e-6)
+        els_a, azs_a = estimate_doa(self._solve(a, geom, 64, seed=1), geom, 2)
+        els_b, azs_b = estimate_doa(self._solve(b, geom, 64, seed=1), geom, 2)
+        np.testing.assert_allclose(els_a, els_b, atol=1e-6)
+        np.testing.assert_allclose(azs_a, azs_b, atol=1e-6)
 
     def test_full_pipeline_small_grid(self):
         geom = RisGeometry(4, 4)
@@ -232,6 +240,6 @@ class TestEndToEnd:
         sched = build_code_schedule(16, 16, seed=2)
         snap = synthesize_ideal(geom, sched, src, snr_db=np.inf, seed=2)
         vars = solve_full_anm(geom, z=snap.samples, G=sched.codes, noise_power=0.0)
-        est = estimate_from_full(vars, geom, 2)
-        np.testing.assert_allclose(est.elevations_deg, [30.0, 100.0], atol=0.1)
-        np.testing.assert_allclose(est.azimuths_deg, [-40.0, 30.0], atol=0.1)
+        els, azs = estimate_from_full(vars, geom, 2)
+        np.testing.assert_allclose(els, [30.0, 100.0], atol=0.1)
+        np.testing.assert_allclose(azs, [-40.0, 30.0], atol=0.1)
