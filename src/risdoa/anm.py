@@ -288,7 +288,7 @@ def _one_blas_thread():
 
 
 # ---------------------------------------------------------------------------
-# atoms and Toeplitz construction (shared by tests, oracles, and extraction)
+# atoms and Toeplitz construction (shared by tests and oracles)
 
 
 def unit_matrix_atom(geom: RisGeometry, f_row: float, f_col: float) -> np.ndarray:
@@ -310,19 +310,6 @@ def toeplitz_from_atoms(freqs, weights, dim: int, spacing: float = 0.5) -> np.nd
         a = axis_atom(f, dim, spacing)
         T += w * np.outer(a, a.conj())
     return T
-
-
-def full_toeplitz_marginals(T: np.ndarray, rows: int, cols: int):
-    """Per-axis Toeplitz factors of a two-level Toeplitz matrix.
-
-    Averaging the inner (column) diagonal collapses the structure to the
-    row-axis factor and vice versa; on a matrix built from frequency atoms
-    both marginals carry the same atoms as a plain 1D Toeplitz sum.
-    """
-    T4 = np.asarray(T, dtype=complex).reshape(rows, cols, rows, cols)
-    t_row = np.einsum("mnpn->mp", T4) / cols
-    t_col = np.einsum("mnmq->nq", T4) / rows
-    return t_row, t_col
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +860,7 @@ def vandermonde_decompose(T: np.ndarray, num_atoms: int, spacing: float = 0.5) -
         raise DegenerateInputError(
             f"matrix rank {int(np.sum(lam > tol))} below requested atom count {num_atoms}"
         )
-    freqs = toeplitz_to_freqs(T, num_atoms, spacing=spacing)
+    freqs = toeplitz_to_freqs(T[:, 0], num_atoms, spacing=spacing)
     atoms = np.stack(
         [np.outer(a, a.conj()).reshape(-1) for a in (axis_atom(f, dim, spacing) for f in freqs)],
         axis=1,

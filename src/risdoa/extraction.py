@@ -8,9 +8,9 @@ paired through the rank-1 structure of X and mapped to (elevation, azimuth).
 
 Sign conventions follow the forward model: the row factor of X uses
 exp(-2j pi m d_r f) atoms while its column factor enters conjugated, so the
-decoupled T_y is rooted after conjugation. The marginals of the full
-two-level Toeplitz solution carry unconjugated atoms on both axes and are
-rooted directly.
+decoupled T_y is rooted after conjugation. The full two-level Toeplitz
+solution is read at its (dm, 0) and (0, dn) lag classes, which carry
+unconjugated atoms on both axes and are rooted directly.
 """
 
 from __future__ import annotations
@@ -19,28 +19,28 @@ import numpy as np
 from scipy.linalg import toeplitz as build_toeplitz
 from scipy.optimize import linear_sum_assignment
 
-from .anm import DecoupledSdpVars, FullSdpVars, full_toeplitz_marginals
+from .anm import DecoupledSdpVars, FullSdpVars
 from .errors import DegenerateInputError, EndfirePoleError
 from .model import RisGeometry, axis_atom
 
 
-def toeplitz_to_freqs(T: np.ndarray, num_freqs: int, spacing: float) -> np.ndarray:
-    """Root the annihilating polynomial of a (near) Toeplitz PSD matrix.
+def toeplitz_to_freqs(lags: np.ndarray, num_freqs: int, spacing: float) -> np.ndarray:
+    """Root the annihilating polynomial of a Hermitian Toeplitz PSD matrix.
 
-    Averages each diagonal of the Hermitian part to a single lag, solves the
-    linear prediction H b = -u[K:] by least squares, forms the monic
-    polynomial [1; b], and takes companion-matrix roots. Roots are projected
-    to the unit circle, the num_freqs closest ones kept, and phases mapped
-    through f = -angle / (2 pi spacing), clamped to [-1, 1].
+    Takes the matrix's first column, lags[k] = T[k, 0], solves the linear
+    prediction H b = -u[K:] by least squares, forms the monic polynomial
+    [1; b], and takes companion-matrix roots. Roots are projected to the
+    unit circle, the num_freqs closest ones kept, and phases mapped through
+    f = -angle / (2 pi spacing), clamped to [-1, 1].
     """
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError("T must be square")
-    dim = T.shape[0]
+    lags = np.asarray(lags, dtype=complex)
+    if lags.ndim != 1:
+        raise ValueError(f"lags must be a 1-D first column, got shape {lags.shape}")
+    dim = lags.size
     if not 1 <= num_freqs < dim:
         raise ValueError(f"need 1 <= num_freqs < {dim}, got {num_freqs}")
-    H = (T + T.conj().T) / 2.0
-    lags = np.array([np.mean(np.diag(H, -k)) for k in range(dim)])
+    if not np.isfinite(lags).all():
+        raise DegenerateInputError("Toeplitz lags must be finite")
     rows = build_toeplitz(lags[num_freqs - 1 : dim - 1], lags[num_freqs - 1 :: -1])
     b, _, rank, _ = np.linalg.lstsq(rows, -lags[num_freqs:], rcond=None)
     if rank < num_freqs:
@@ -87,8 +87,11 @@ def freqs_to_angles(f_row: float, f_col: float):
     the column frequency over sin(elevation), with the ratio clamped to
     [-1, 1] so boundary overshoot degrades gracefully.
     """
-    if abs(f_row) > 1.0 + 1e-9:
+    # the negated range test also rejects NaN, for which every comparison is false
+    if not abs(f_row) <= 1.0 + 1e-9:
         raise ValueError(f"row frequency must lie in [-1, 1], got {f_row}")
+    if not np.isfinite(f_col):
+        raise ValueError(f"column frequency must be finite, got {f_col}")
     f_row = float(np.clip(f_row, -1.0, 1.0))
     theta = float(np.degrees(np.arccos(f_row)))
     sin_t = float(np.sqrt(max(1.0 - f_row * f_row, 0.0)))
@@ -111,19 +114,18 @@ def estimate_doa(vars: DecoupledSdpVars, geom: RisGeometry, num_sources: int):
 
     Returns (elevations_deg, azimuths_deg) sorted by elevation.
     """
-    row = toeplitz_to_freqs(vars.T_x, num_sources, geom.row_spacing)
+    row = toeplitz_to_freqs(vars.T_x[:, 0], num_sources, geom.row_spacing)
     # T_y carries conjugated atoms, see module docstring
-    col = toeplitz_to_freqs(vars.T_y.conj(), num_sources, geom.col_spacing)
+    col = toeplitz_to_freqs(vars.T_y[:, 0].conj(), num_sources, geom.col_spacing)
     return _assemble_estimate(row, col, vars.X, geom)
 
 
 def estimate_from_full(vars: FullSdpVars, geom: RisGeometry, num_sources: int):
-    """Extraction from a full bordered solution via its per-axis marginals.
+    """Extraction from a full bordered solution via the (dm, 0) and (0, dn) lags of T.
 
     Returns (elevations_deg, azimuths_deg) sorted by elevation.
     """
-    t_row, t_col = full_toeplitz_marginals(vars.T, geom.rows, geom.cols)
-    row = toeplitz_to_freqs(t_row, num_sources, geom.row_spacing)
-    col = toeplitz_to_freqs(t_col, num_sources, geom.col_spacing)
+    row = toeplitz_to_freqs(vars.T[:: geom.cols, 0], num_sources, geom.row_spacing)
+    col = toeplitz_to_freqs(vars.T[: geom.cols, 0], num_sources, geom.col_spacing)
     X = np.asarray(vars.x, dtype=complex).reshape(geom.rows, geom.cols)
     return _assemble_estimate(row, col, X, geom)

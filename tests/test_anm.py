@@ -13,7 +13,6 @@ from risdoa.anm import (
     AtomicDecomposition,
     SolverConfig,
     atomic_norm,
-    full_toeplitz_marginals,
     project_block_toeplitz,
     project_psd,
     project_toeplitz_hermitian,
@@ -37,7 +36,6 @@ from risdoa.extraction import estimate_from_full
 from risdoa.model import (
     RisGeometry,
     SourceSet,
-    axis_atom,
     build_code_schedule,
     steering_vector,
     synthesize_ideal,
@@ -360,26 +358,6 @@ class TestBlasThreadPin:
         # numpy's pool keeps its two threads throughout; scipy's is pinned
         assert seen and all(counts == [2, 1] for counts in seen)
         assert _thread_counts(blas_pools) == [2, 2]
-
-
-class TestMarginals:
-    def test_atom_construction_oracle(self):
-        geom = RisGeometry(3, 5)
-        freqs = ((0.3, -0.2), (-0.5, 0.6))
-        weights = (1.0, 2.0)
-        T = np.zeros((15, 15), dtype=complex)
-        row_ref = np.zeros((3, 3), dtype=complex)
-        col_ref = np.zeros((5, 5), dtype=complex)
-        for (f_r, f_c), w in zip(freqs, weights):
-            u = axis_atom(f_r, 3, geom.row_spacing)
-            v = axis_atom(f_c, 5, geom.col_spacing)
-            vec = np.kron(u, v)
-            T += w * np.outer(vec, vec.conj())
-            row_ref += w * np.outer(u, u.conj())
-            col_ref += w * np.outer(v, v.conj())
-        t_row, t_col = full_toeplitz_marginals(T, 3, 5)
-        np.testing.assert_allclose(t_row, row_ref, atol=1e-12)
-        np.testing.assert_allclose(t_col, col_ref, atol=1e-12)
 
 
 class TestVandermonde:

@@ -42,31 +42,42 @@ def _rank_one_X(geom, f_pairs, weights):
 
 class TestToeplitzToFreqs:
     def test_all_ones_is_dc(self):
-        f = toeplitz_to_freqs(np.ones((6, 6), dtype=complex), 1, spacing=0.5)
+        f = toeplitz_to_freqs(np.ones(6), 1, spacing=0.5)
         assert f[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_single_frequency_exact(self):
         T = toeplitz_from_atoms([0.5], [1.0], dim=8, spacing=0.4)
-        f = toeplitz_to_freqs(T, 1, spacing=0.4)
+        f = toeplitz_to_freqs(T[:, 0], 1, spacing=0.4)
         assert f[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_two_frequencies_with_unequal_weights(self):
         T = toeplitz_from_atoms([0.2, 0.35], [1.0, 2.0], dim=8, spacing=0.4)
-        f = toeplitz_to_freqs(T, 2, spacing=0.4)
+        f = toeplitz_to_freqs(T[:, 0], 2, spacing=0.4)
         np.testing.assert_allclose(f, [0.2, 0.35], atol=1e-8)
 
     def test_negative_frequency_sign(self):
         T = toeplitz_from_atoms([-0.4], [1.0], dim=6, spacing=0.5)
-        f = toeplitz_to_freqs(T, 1, spacing=0.5)
+        f = toeplitz_to_freqs(T[:, 0], 1, spacing=0.5)
         assert f[0] == pytest.approx(-0.4, abs=1e-9)
 
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            toeplitz_to_freqs(np.zeros((6, 6)), 2, spacing=0.5)
+            toeplitz_to_freqs(np.zeros(6), 2, spacing=0.5)
 
     def test_too_many_freqs_rejected(self):
         with pytest.raises(ValueError):
-            toeplitz_to_freqs(np.eye(4), 4, spacing=0.5)
+            toeplitz_to_freqs(np.eye(4)[:, 0], 4, spacing=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_lags_degenerate(self, bad):
+        lags = toeplitz_from_atoms([0.3], [1.0], dim=6)[:, 0]
+        lags[2] = bad
+        with pytest.raises(DegenerateInputError, match="finite"):
+            toeplitz_to_freqs(lags, 1, spacing=0.5)
+
+    def test_matrix_argument_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            toeplitz_to_freqs(np.ones((6, 6)), 1, spacing=0.5)
 
 
 class TestFreqsToAngles:
@@ -95,6 +106,11 @@ class TestFreqsToAngles:
     def test_row_frequency_out_of_range(self):
         with pytest.raises(ValueError):
             freqs_to_angles(1.5, 0.0)
+
+    @pytest.mark.parametrize("f_row, f_col", [(np.nan, 0.0), (0.5, np.nan), (0.5, np.inf)])
+    def test_non_finite_frequency_rejected(self, f_row, f_col):
+        with pytest.raises(ValueError):
+            freqs_to_angles(f_row, f_col)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -190,15 +206,16 @@ class TestManufacturedSolutions:
         np.testing.assert_allclose(azs, [e[1] for e in expected], atol=1e-6)
 
     def test_full_marginal_conventions(self):
-        geom = RisGeometry(5, 5)
+        # a rectangular grid, so the row and column lag strides differ
+        geom = RisGeometry(4, 6)
         f_rows = [0.3, -0.45]
         f_cols = [0.5, -0.15]
         weights = [1.5, 1.0]
-        T = np.zeros((25, 25), dtype=complex)
-        x = np.zeros(25, dtype=complex)
+        T = np.zeros((24, 24), dtype=complex)
+        x = np.zeros(24, dtype=complex)
         for f_r, f_c, w in zip(f_rows, f_cols, weights):
             vec = np.kron(
-                axis_atom(f_r, 5, geom.row_spacing), axis_atom(f_c, 5, geom.col_spacing)
+                axis_atom(f_r, 4, geom.row_spacing), axis_atom(f_c, 6, geom.col_spacing)
             )
             T += w * np.outer(vec, vec.conj())
             x += w * vec
