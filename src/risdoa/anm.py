@@ -37,8 +37,11 @@ regularized mode rho starts at the curvature scale of the data term,
 s_min s_max / 2 over the nonzero singular values s of G: in the packed
 border 0.5 ||z - G x||^2 has Hessian eigenvalues s^2 / 2, and the geometric
 mean of the extreme curvatures is the ADMM step size of Ghadimi, Teixeira,
-Shames & Johansson (2015). The ball and atomic couplings have no data
-curvature and start at rho = 1.
+Shames & Johansson (2015). When the noise power P is given, that start is
+multiplied by sqrt(||z|| / sqrt(P)), the root of the data's amplitude SNR,
+which rescaling z by c and P by c^2 leaves alone; an explicit alpha without
+P, a zero z and P = 0 keep the curvature start. The ball and atomic
+couplings have no data curvature and start at rho = 1.
 
 W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
 packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
@@ -437,7 +440,7 @@ class _DataStep:
     warm start of the ball projection and that solve's root-finding counts.
     """
 
-    def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0):
+    def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0, noise_power=None):
         self.mode = mode
         self.radius = float(radius)
         U, s, self.Vh, self.V, rank = code_svd(G)  # V maps the SVD basis back
@@ -458,7 +461,12 @@ class _DataStep:
         self.secular_evaluations = 0
         self.brentq_fallbacks = 0
         # the starting step size (module docstring); a zero G has no curvature
-        self.rho0 = float(self.s[0] * self.s[-1]) / 2.0 if mode == "regularized" and rank else 1.0
+        self.rho0 = 1.0
+        if mode == "regularized" and rank:
+            self.rho0 = float(self.s[0] * self.s[-1]) / 2.0
+            z_norm = float(np.linalg.norm(z))
+            if noise_power and z_norm:  # and scaled by the data's SNR when that is known
+                self.rho0 *= math.sqrt(z_norm / math.sqrt(noise_power))
         if mode == "noise-ball":
             budget_sq = self.radius**2 - self.unreachable_sq
             if budget_sq < -max(1e-20, 1e-10 * float(np.vdot(z, z).real)):
@@ -577,7 +585,7 @@ def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) 
         return float(config.alpha)
     if noise_power is None:
         raise ConfigError("regularized mode needs alpha or noise_power to size the trace weight")
-    sigma = math.sqrt(max(float(noise_power), 0.0) / n_obs)
+    sigma = math.sqrt(float(noise_power) / n_obs)
     return sigma * math.sqrt(n_atoms * math.log(n_atoms)) if n_atoms > 1 else sigma
 
 
@@ -595,11 +603,14 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
     if G.shape != (z.size, n_atoms):
         raise ValueError(f"code matrix must be {z.size}x{n_atoms}, got {G.shape}")
     _require_finite(z=z, G=G, noise_power=noise_power)
+    if noise_power is not None and noise_power < 0:
+        raise ConfigError(f"noise_power must be nonnegative, got {noise_power!r}")
     if config.mode == "regularized":
-        return _DataStep(G, z, "regularized"), _resolve_alpha(config, noise_power, n_atoms, z.size)
+        data = _DataStep(G, z, "regularized", noise_power=noise_power)
+        return data, _resolve_alpha(config, noise_power, n_atoms, z.size)
     if noise_power is None:
         raise ConfigError("noise-ball mode requires noise_power")
-    return _DataStep(G, z, "noise-ball", radius=math.sqrt(max(noise_power, 0.0))), 1.0
+    return _DataStep(G, z, "noise-ball", radius=math.sqrt(noise_power)), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +805,9 @@ def solve_danm(
 
     noise_power is the squared-norm budget of the residual ball (total
     expected noise energy over the snapshot, i.e. samples x per-sample
-    variance); it also sizes the default trace weight in regularized mode.
-    A NaN or inf in z, G or noise_power raises DegenerateInputError.
+    variance); in regularized mode it sizes the default trace weight and
+    the step-size start. A NaN or inf in z, G or noise_power raises
+    DegenerateInputError, a negative noise_power ConfigError.
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols

@@ -720,6 +720,20 @@ class TestNonFiniteInput:
             solve_full_anm(RisGeometry(2, 2), x=x)
 
 
+@pytest.mark.parametrize("mode", ["noise-ball", "regularized"])
+@pytest.mark.parametrize("program", ["danm", "full"])
+def test_negative_noise_power_rejected(program, mode):
+    # once clamped to a zero ball radius or a zero trace weight without a word
+    geom, G, z = _full_denoise_problem()
+    config = SolverConfig(mode=mode)
+    solve = {
+        "danm": partial(solve_danm, z, G, geom, config),
+        "full": partial(solve_full_anm, geom, config, z=z, G=G),
+    }[program]
+    with pytest.raises(ConfigError, match="noise_power"):
+        solve(noise_power=-1e-3)
+
+
 class TestFullSolver:
     def test_zero_target(self):
         geom = RisGeometry(2, 3)
@@ -962,7 +976,12 @@ def _curvature_scale(G) -> float:
 
 
 class TestStepSizeStart:
-    """Regularized solves start rho at the data term's curvature scale, the others at 1."""
+    """Where rho starts: regularized solves at the data term's curvature scale.
+
+    A known noise power P multiplies that by sqrt(||z|| / sqrt(P)); an
+    explicit alpha without P, a zero z and P = 0 keep the curvature scale.
+    The noise-ball and atomic couplings start at 1.
+    """
 
     @pytest.mark.parametrize("program", ["danm", "full"])
     def test_regularized_starts_at_the_curvature_scale(self, monkeypatch, program):
@@ -975,6 +994,33 @@ class TestStepSizeStart:
         rho, _ = _start_rho(monkeypatch, solve)
         assert rho == pytest.approx(_curvature_scale(G), rel=1e-12)
         assert rho != 1.0
+
+    @pytest.mark.parametrize("alpha", [None, 1e-3])
+    @pytest.mark.parametrize("program", ["danm", "full"])
+    def test_known_noise_power_scales_the_start_by_the_root_snr(self, monkeypatch, program, alpha):
+        geom, G, z = _full_denoise_problem()
+        power = 1e-2
+        config = SolverConfig(mode="regularized", alpha=alpha)
+        solve = {
+            "danm": partial(solve_danm, z, G, geom, config, noise_power=power),
+            "full": partial(solve_full_anm, geom, config, z=z, G=G, noise_power=power),
+        }[program]
+        rho, _ = _start_rho(monkeypatch, solve)
+        factor = math.sqrt(np.linalg.norm(z) / math.sqrt(power))
+        assert rho == pytest.approx(_curvature_scale(G) * factor, rel=1e-12)
+        assert factor > 2.0
+
+    @pytest.mark.parametrize("z_scale,power", [(0.0, 1e-2), (1.0, 0.0)], ids=["zero z", "zero noise"])
+    @pytest.mark.parametrize("program", ["danm", "full"])
+    def test_zero_data_or_noise_keeps_the_curvature_start(self, monkeypatch, program, z_scale, power):
+        geom, G, z = _full_denoise_problem()
+        config = SolverConfig(mode="regularized")
+        solve = {
+            "danm": partial(solve_danm, z_scale * z, G, geom, config, noise_power=power),
+            "full": partial(solve_full_anm, geom, config, z=z_scale * z, G=G, noise_power=power),
+        }[program]
+        rho, _ = _start_rho(monkeypatch, solve)
+        assert rho == pytest.approx(_curvature_scale(G), rel=1e-12)
 
     @pytest.mark.parametrize("program", ["danm", "full", "atomic"])
     def test_ball_and_atomic_couplings_start_at_one(self, monkeypatch, program):
@@ -1015,14 +1061,15 @@ class TestStepSizeStart:
     )
     def test_scaled_data_scales_the_solution(self, shape, program, seed, k):
         # z -> 2^k z and noise_power -> 4^k noise_power scale the trace weight
-        # by 2^k and leave G alone, so no absolute scale may enter the solve.
-        # It is not bit for bit: zheevr's projection of 2^k w differs from
-        # 2^k times that of w in its last bits on about one random matrix in
-        # five, and the stop test turns that into a few iterations more or
-        # less (at most 4% of the count over 300 random examples; up to 18%
-        # on a slow 4 x 4 solve that started at rho = 1) and a solution that
-        # moves by up to the tolerance. A rho start that grew with |z| moved
-        # the count by more than 10% on 91 of 100 random examples.
+        # by 2^k, leave G and the ratio ||z|| / sqrt(noise_power) alone, so
+        # no absolute scale may enter the solve. It is not bit for bit:
+        # zheevr's projection of 2^k w differs from 2^k times that of w in
+        # its last bits on about one random matrix in five, and the stop test
+        # turns that into a few iterations more or less (at most 6.2% of the
+        # count over 300 random examples; up to 18% on a slow 4 x 4 solve
+        # that started at rho = 1) and a solution that moves by up to the
+        # tolerance. A rho start that grew with ||z|| alone failed 76 of 100
+        # random examples.
         geom = RisGeometry(*shape)
         mn = geom.n_elements
         rng = np.random.default_rng(seed)
@@ -1104,7 +1151,7 @@ def pinned_solves():
 # one digest per mode, so a change to one coupling shows which pins it moved
 _PINNED_DIGESTS = {
     "noise-ball": "232e03b1e196dc320533c8f205cfe5cf8571b03204318cde51f3af4aec7ccf0e",
-    "regularized": "4836c07f8aa5f7e6bdda3270a89a5d464bcefa1c0dff01c9364868dfe5f21a73",
+    "regularized": "e189948d6e7cd60229c39fba7c1f1dab14213bf13254d1e061d17ee3ce39ce8f",
     "atomic": "231375946a21f8248c28e7e6a559f0e82434c9395cdd1cd5b510c44ad257e944",
 }
 
