@@ -318,6 +318,9 @@ def toeplitz_from_atoms(freqs, weights, dim: int, spacing: float = 0.5) -> np.nd
 # ---------------------------------------------------------------------------
 # solver configuration and results
 
+# the largest MN of the full program, whose PSD block has side MN + 1 (257 at 16 x 16)
+_FULL_SIZE_CAP = 256
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -327,14 +330,12 @@ class SolverConfig:
     ||z - G x|| <= sqrt(noise_power) exactly, "regularized" adds
     0.5 ||z - G x||^2 and weights the trace by alpha (default
     sigma * sqrt(MN log MN) with sigma the per-sample noise deviation).
-    size_cap bounds MN in the full program, whose PSD block has side MN + 1.
     """
 
     mode: str = "noise-ball"
     alpha: float | None = None
     max_iterations: int = 50_000
     tolerance: float = 1e-6
-    size_cap: int = 64
 
     def __post_init__(self):
         if self.mode not in ("noise-ball", "regularized"):
@@ -828,14 +829,14 @@ def solve_full_anm(
 
     Pass either x (the response itself; computes its atomic decomposition
     value) or the observation pair (z, G) for denoising in the configured
-    mode. The PSD block has side MN + 1, so the size cap guards runtime.
+    mode. An MN above 256 raises SizeCapError: the PSD block has side MN + 1.
     A NaN or inf in x, z, G or noise_power raises DegenerateInputError.
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
     mn = M * N
-    if mn > config.size_cap:
-        raise SizeCapError(f"MN = {mn} exceeds size_cap={config.size_cap} for the full program")
+    if mn > _FULL_SIZE_CAP:
+        raise SizeCapError(f"MN = {mn} exceeds the full program's cap of {_FULL_SIZE_CAP}")
     if (x is None, z is None, G is None) not in ((False, True, True), (True, False, False)):
         raise ValueError("pass exactly one of x or the pair (z, G)")
     if x is None:

@@ -117,7 +117,7 @@ def _cmd_bench(args) -> int:
     plan = load_plan(args.config) if args.config else PlanConfig()
     plan = _with_flags(plan, args, _BENCH_FLAGS)
     paths = run_bench(scenario, plan, args.out, model_path=args.model)
-    for path in (paths.estimates, paths.trials, paths.summary, paths.timing):
+    for path in (paths.estimates, paths.trials, paths.summary):
         print(f"wrote {path}")
     return 0
 

@@ -171,18 +171,14 @@ class PlanConfig:
     trials: int = 100
     seed: int = 4321
     workers: int = 1
-    grid_step_deg: float = 1.0
-    solver_tolerance: float = 1e-5
-    solver_max_iterations: int = 20_000
-    full_solver_cap: int = 256
 
     def __post_init__(self):
-        if self.trials < 1 or self.workers < 1:
-            raise ConfigError(
-                f"trials and workers must be at least 1, got {self.trials} and {self.workers}"
-            )
-        if not self.grid_step_deg > 0.0:
-            raise ConfigError(f"grid step must be positive, got {self.grid_step_deg}")
+        for name in ("trials", "workers"):
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not self.snr_list:
+            raise ConfigError("snr_list must hold at least one SNR")
         # +inf is a noiseless cell; nan and -inf name no noise level
         bad = [v for v in self.snr_list if math.isnan(v) or v == -math.inf]
         if bad:
@@ -192,11 +188,6 @@ class PlanConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat an entry, got {values}")
-        if not (self.solver_tolerance > 0.0 and self.solver_max_iterations > 0):
-            raise ConfigError(
-                "solver tolerance and iteration cap must be positive, got "
-                f"{self.solver_tolerance} and {self.solver_max_iterations}"
-            )
 
 
 def desk_scenario(**overrides) -> ScenarioConfig:

@@ -22,7 +22,7 @@ class InfeasibleConstraintError(RisDoaError, ValueError):
 
 
 class SizeCapError(RisDoaError, ValueError):
-    """Problem size exceeds the configured cap for the dense solver."""
+    """Problem size exceeds the fixed cap of the full program."""
 
 
 class SingularFimError(RisDoaError, ValueError):

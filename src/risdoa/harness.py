@@ -55,6 +55,11 @@ METHOD_NAMES = ("fft", "omp", "fft-denoise", "omp-denoise", "anm-denoise", "dnn-
 _MODEL_METHODS = frozenset({"fft-denoise", "omp-denoise", "anm-denoise", "dnn-danm"})
 _GRID_METHODS = frozenset({"fft", "omp", "fft-denoise", "omp-denoise"})
 
+# the paper compares every method under one set-up, so its grid and solver settings are fixed
+_GRID_STEP_DEG = 1.0
+_DANM_CONFIG = SolverConfig(mode="noise-ball", tolerance=1e-5, max_iterations=20_000)
+_FULL_CONFIG = SolverConfig(mode="regularized", tolerance=1e-5, max_iterations=20_000)
+
 
 # ---------------------------------------------------------------------------
 # simulate / train
@@ -143,7 +148,6 @@ class BenchPaths:
     estimates: Path
     trials: Path
     summary: Path
-    timing: Path
 
 
 _CTX: dict = {}
@@ -159,12 +163,11 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         schedule.bits.tobytes(),
         tuple(spec.elevation_range),
         tuple(spec.azimuth_range),
-        plan.grid_step_deg,
     )
     dictionary = _CTX.get("dictionary") if _CTX.get("key") == key else None
     _CTX.clear()  # frees the previous run's dictionary before a new one is built
     if dictionary is None and _GRID_METHODS.intersection(plan.methods):
-        grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, plan.grid_step_deg)
+        grid = AngleGrid.from_ranges(spec.elevation_range, spec.azimuth_range, _GRID_STEP_DEG)
         dictionary = build_dictionary(scenario.geometry, schedule, grid)
     _CTX.update(
         key=key,
@@ -173,17 +176,6 @@ def _init_worker(scenario: ScenarioConfig, plan: PlanConfig, params) -> None:
         params=params,
         schedule=schedule,
         dictionary=dictionary,
-        danm_config=SolverConfig(
-            mode="noise-ball",
-            tolerance=plan.solver_tolerance,
-            max_iterations=plan.solver_max_iterations,
-        ),
-        full_config=SolverConfig(
-            mode="regularized",
-            tolerance=plan.solver_tolerance,
-            max_iterations=plan.solver_max_iterations,
-            size_cap=plan.full_solver_cap,
-        ),
     )
 
 
@@ -226,11 +218,11 @@ def _estimate(method: str, snap, recon, sources):
     if method == "dnn-danm":
         codes = ctx["schedule"].codes
         budget = _reconstruction_budget(recon, total_noise, codes)
-        vars = solve_danm(recon, codes, geom, ctx["danm_config"], noise_power=budget)
+        vars = solve_danm(recon, codes, geom, _DANM_CONFIG, noise_power=budget)
         return estimate_doa(vars, geom, count), vars.diagnostics.iterations
     if method == "anm-denoise":
         vars = solve_full_anm(
-            geom, ctx["full_config"], z=recon, G=ctx["schedule"].codes, noise_power=total_noise
+            geom, _FULL_CONFIG, z=recon, G=ctx["schedule"].codes, noise_power=total_noise
         )
         return estimate_from_full(vars, geom, count), vars.diagnostics.iterations
     if method == "crb":
@@ -247,7 +239,9 @@ def _run_cell(task):
     trial_seed = child_seed(plan.seed, 0, trial)
     sources = scenario.draw_sources(child_seed(trial_seed, STREAM_SOURCES))
     impairments = scenario.draw_impairments(child_seed(trial_seed, STREAM_IMPAIRMENTS))
-    noise_seed = child_seed(plan.seed, 1, int(round(snr_db * 1000.0)), trial)
+    # +inf draws no noise, so its cell index is arbitrary but must be an integer
+    snr_index = int(round(snr_db * 1000.0)) if math.isfinite(snr_db) else 0
+    noise_seed = child_seed(plan.seed, 1, snr_index, trial)
     snap = synthesize_impaired(
         scenario.geometry, ctx["schedule"], impairments, sources, snr_db, noise_seed
     )
@@ -284,11 +278,12 @@ def run_bench(
     out_dir,
     model_path=None,
 ) -> BenchPaths:
-    """Run the benchmark sweep and write the four result files.
+    """Run the benchmark sweep and write the three result files.
 
     estimates.csv and summary.csv depend only on the configuration and
-    seeds; trials.csv and timing.csv carry wall-clock measurements. Per
-    trial failures are recorded, not raised.
+    seeds; trials.csv also holds each estimate's wall-clock seconds. Per
+    trial failures are recorded, not raised. The grid step and the solver
+    settings are the module's constants.
     """
     if not plan.methods:
         raise ConfigError("benchmark needs at least one method")
@@ -323,12 +318,10 @@ def run_bench(
         estimates=out_dir / "estimates.csv",
         trials=out_dir / "trials.csv",
         summary=out_dir / "summary.csv",
-        timing=out_dir / "timing.csv",
     )
     _write_estimates(paths.estimates, records)
     _write_trials(paths.trials, records)
     _write_summary(paths.summary, records, plan)
-    _write_timing(paths.timing, records, plan)
     return paths
 
 
@@ -367,17 +360,6 @@ def _write_summary(path, records, plan: PlanConfig) -> None:
                 count = len(cell[0].true_el) if cell else 0
                 value = repr(rmse_deg(good, count)) if good else ""
                 fh.write(f"{method},{snr!r},{value},{len(cell)},{len(cell) - len(good)}\n")
-
-
-def _write_timing(path, records, plan: PlanConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,snr_db,mean_seconds,total_seconds\n")
-        for method in plan.methods:
-            for snr in plan.snr_list:
-                cell = [r.seconds for r in records if r.method == method and r.snr_db == snr]
-                if not cell:
-                    continue
-                fh.write(f"{method},{snr!r},{float(np.mean(cell))!r},{float(np.sum(cell))!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -298,11 +298,8 @@ def test_07_complexity_gap():
         start = time.perf_counter()
         solve_danm(snap.samples, codes, geom, config, noise_power=budget)
         dec_times.append(time.perf_counter() - start)
-    full_config = SolverConfig(
-        mode="noise-ball", tolerance=1e-5, max_iterations=20000, size_cap=1024
-    )
     start = time.perf_counter()
-    solve_full_anm(geom, full_config, z=snap.samples, G=codes, noise_power=budget)
+    solve_full_anm(geom, config, z=snap.samples, G=codes, noise_power=budget)
     full_time = time.perf_counter() - start
 
     mean_dec = float(np.mean(dec_times))

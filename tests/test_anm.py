@@ -778,9 +778,9 @@ class TestFullSolver:
         assert rel < 1e-2
 
     def test_size_cap(self):
-        geom = RisGeometry(9, 9)
+        geom = RisGeometry(17, 16)
         with pytest.raises(SizeCapError):
-            solve_full_anm(geom, x=np.zeros(81))
+            solve_full_anm(geom, x=np.zeros(272))
 
     def test_argument_validation(self):
         geom = RisGeometry(2, 2)

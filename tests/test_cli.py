@@ -5,6 +5,7 @@ work negligible while still driving every command path.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +195,7 @@ class TestBench:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "method,snr_db,rmse_deg,trials,failures"
         assert len(summary) == 1 + 3
-        timing = (out / "timing.csv").read_text().splitlines()
-        assert timing[0] == "method,snr_db,mean_seconds,total_seconds"
+        assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "summary.csv", "trials.csv"]
 
     def test_iterations_are_filled_for_solver_methods_only(self, tmp_path):
         settings = TrainSettings(
@@ -216,14 +216,19 @@ class TestBench:
             else:
                 assert row["iterations"] == "", row
 
-    def test_solver_message_with_commas_stays_in_its_field(self, tmp_path):
+    def test_solver_message_with_commas_stays_in_its_field(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from risdoa import harness
+
         settings = TrainSettings(
             dataset_size=24, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5
         )
         model_path, _ = run_train(tiny_scenario(), settings, tmp_path / "train")
-        plan = PlanConfig(
-            methods=("dnn-danm",), snr_list=(20.0,), trials=1, seed=17, solver_max_iterations=2
+        monkeypatch.setattr(
+            harness, "_DANM_CONFIG", dataclasses.replace(harness._DANM_CONFIG, max_iterations=2)
         )
+        plan = PlanConfig(methods=("dnn-danm",), snr_list=(20.0,), trials=1, seed=17)
         paths = run_bench(tiny_scenario(), plan, tmp_path / "bench", model_path=model_path)
         with open(paths.trials, newline="") as fh:
             (row,) = csv.DictReader(fh)
@@ -252,6 +257,26 @@ class TestBench:
         short_rows = short.estimates.read_text().splitlines()[1:]
         long_rows = long.estimates.read_text().splitlines()[1 : 1 + len(short_rows)]
         assert short_rows == long_rows
+
+    def test_infinite_snr_is_a_noiseless_cell(self, tmp_path):
+        import dataclasses
+
+        plan = PlanConfig(methods=("fft", "crb"), snr_list=(20.0, math.inf), trials=2, seed=17)
+        both = run_bench(tiny_scenario(), plan, tmp_path / "both")
+        only = run_bench(
+            tiny_scenario(), dataclasses.replace(plan, snr_list=(20.0,)), tmp_path / "only"
+        )
+
+        def lines(path, snr):
+            return [l for l in path.read_text().splitlines()[1:] if l.split(",")[1] == snr]
+
+        # the finite cells keep their noise seeds
+        assert lines(both.estimates, "20.0") == lines(only.estimates, "20.0")
+        assert lines(both.summary, "20.0") == lines(only.summary, "20.0")
+        assert {l.split(",")[0] for l in lines(both.estimates, "inf")} == {"fft"}
+        fft, crb = lines(both.summary, "inf")
+        assert fft.startswith("fft,inf,") and fft.endswith(",2,0")
+        assert crb == "crb,inf,,2,2"  # the bound is infinite without noise
 
     def test_worker_pool_matches_serial(self, tmp_path):
         plan = PlanConfig(methods=("fft", "crb"), snr_list=(20.0,), trials=2, seed=17)
@@ -306,19 +331,17 @@ class TestBench:
         other_schedule = dataclasses.replace(tiny_scenario(), seed=71)
         run_bench(other_schedule, plan, tmp_path / "d")
         assert len(builds) == 2
-        run_bench(other_schedule, dataclasses.replace(plan, grid_step_deg=2.0), tmp_path / "e")
-        assert len(builds) == 3
 
         # a fresh build after a different key gives the bytes of the first run
         fresh = run_bench(tiny_scenario(), plan, tmp_path / "f")
-        assert len(builds) == 4
+        assert len(builds) == 3
         assert fresh.estimates.read_bytes() == a.estimates.read_bytes()
         wide = dataclasses.replace(
             tiny_scenario(), sources=SourceSpec(count=1, min_separation_deg=0.0,
                                                 elevation_range=(10.0, 80.0))
         )
         run_bench(wide, plan, tmp_path / "g")
-        assert len(builds) == 5
+        assert len(builds) == 4
 
     def test_model_methods_need_model(self, tmp_path):
         plan = PlanConfig(methods=("dnn-danm",), snr_list=(20.0,), trials=1)
@@ -540,17 +563,19 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert "SNR 20 dB" in printed
 
-    def test_per_trial_failures_are_recorded_not_raised(self, tmp_path):
-        # a two-source scenario on a 1x2 surface cannot separate anything,
-        # the full solver cap is another reliable failure trigger
+    def test_per_trial_failures_are_recorded_not_raised(self, tmp_path, monkeypatch):
+        from risdoa import anm
+
+        # the full program's size cap, lowered below this 2x2 surface, is a
+        # reliable failure trigger
+        monkeypatch.setattr(anm, "_FULL_SIZE_CAP", 2)
         scenario = ScenarioConfig(
             geometry=RisGeometry(2, 2),
             sources=SourceSpec(count=1, min_separation_deg=0.0),
             num_samples=8,
             seed=3,
         )
-        plan = PlanConfig(methods=("anm-denoise", "fft"), snr_list=(20.0,), trials=1,
-                          seed=17, full_solver_cap=2)
+        plan = PlanConfig(methods=("anm-denoise", "fft"), snr_list=(20.0,), trials=1, seed=17)
         settings = TrainSettings(
             dataset_size=8, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5
         )

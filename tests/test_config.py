@@ -266,19 +266,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SourceSpec(count=2, elevations=(40.0,), azimuths=(0.0,))
 
-    @pytest.mark.parametrize("trials", [0, -3])
+    @pytest.mark.parametrize("trials", [0, -3, 2.5])
     def test_plan_needs_a_trial(self, trials):
         with pytest.raises(ConfigError, match="trials"):
             PlanConfig(trials=trials)
 
-    def test_plan_needs_a_worker(self):
+    @pytest.mark.parametrize("workers", [0, 1.5])
+    def test_plan_needs_a_worker(self, workers):
         with pytest.raises(ConfigError, match="workers"):
-            PlanConfig(workers=0)
-
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
-    def test_plan_grid_step_positive(self, step):
-        with pytest.raises(ConfigError, match="grid step"):
-            PlanConfig(grid_step_deg=step)
+            PlanConfig(workers=workers)
 
     @pytest.mark.parametrize("snr", [math.nan, -math.inf])
     def test_plan_snr_is_a_level(self, snr):
@@ -287,14 +283,6 @@ class TestValidation:
 
     def test_plan_infinite_snr_means_no_noise(self):
         assert PlanConfig(snr_list=(math.inf,)).snr_list == (math.inf,)
-
-    @pytest.mark.parametrize(
-        "field", [{"solver_tolerance": 0.0}, {"solver_tolerance": math.nan},
-                  {"solver_max_iterations": 0}]
-    )
-    def test_plan_solver_limits_positive(self, field):
-        with pytest.raises(ConfigError, match="solver"):
-            PlanConfig(**field)
 
     @pytest.mark.parametrize(
         "field", [{"methods": ("fft", "omp", "fft")}, {"snr_list": (10.0, 20.0, 10.0)}]
@@ -374,10 +362,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch_size"):
             load_train_settings(path)
 
-    def test_plan_file_is_validated(self, tmp_path):
+    @pytest.mark.parametrize("line,name", [("trials = 0", "trials"), ("snr_list =", "snr_list")])
+    def test_plan_file_is_validated(self, tmp_path, line, name):
         path = tmp_path / "plan.ini"
-        path.write_text("[bench]\ntrials = 0\n")
-        with pytest.raises(ConfigError, match="trials"):
+        path.write_text(f"[bench]\n{line}\n")
+        with pytest.raises(ConfigError, match=name):
             load_plan(path)
 
 
@@ -427,6 +416,7 @@ class TestUnknownNames:
         [
             (load_train_settings, "[train]\nepoch = 5\n", "train.epoch"),
             (load_plan, '{"bench": {"trial": 3}}', "bench.trial"),
+            (load_plan, "[bench]\nsolver_tolerance = 1e-5\n", "bench.solver_tolerance"),
             (load_scenario, "[geometry]\nrow = 4\n", "geometry.row"),
             # seed is a ScenarioConfig field, but [snapshot] does not hold it
             (load_scenario, "[snapshot]\nseed = 4\n", "snapshot.seed"),
