@@ -36,6 +36,7 @@ from risdoa.extraction import estimate_from_full
 from risdoa.model import (
     RisGeometry,
     SourceSet,
+    axis_atom,
     build_code_schedule,
     steering_vector,
     synthesize_ideal,
@@ -358,6 +359,33 @@ class TestBlasThreadPin:
         # numpy's pool keeps its two threads throughout; scipy's is pinned
         assert seen and all(counts == [2, 1] for counts in seen)
         assert _thread_counts(blas_pools) == [2, 2]
+
+
+class TestMarginals:
+    def test_atom_construction_oracle(self):
+        # estimate_from_full roots the (dm, 0) and (0, dn) lag classes of a
+        # two-level Toeplitz T; on a sum of frequency atoms every entry of a
+        # class equals the first column of that axis's 1D Toeplitz sum
+        geom = RisGeometry(3, 5)
+        freqs = ((0.3, -0.2), (-0.5, 0.6))
+        weights = (1.0, 2.0)
+        T = np.zeros((15, 15), dtype=complex)
+        row_ref = np.zeros((3, 3), dtype=complex)
+        col_ref = np.zeros((5, 5), dtype=complex)
+        for (f_r, f_c), w in zip(freqs, weights):
+            u = axis_atom(f_r, 3, geom.row_spacing)
+            v = axis_atom(f_c, 5, geom.col_spacing)
+            vec = np.kron(u, v)
+            T += w * np.outer(vec, vec.conj())
+            row_ref += w * np.outer(u, u.conj())
+            col_ref += w * np.outer(v, v.conj())
+        T4 = T.reshape(3, 5, 3, 5)
+        for n in range(5):
+            np.testing.assert_allclose(T4[:, n, 0, n], row_ref[:, 0], atol=1e-12)
+        for m in range(3):
+            np.testing.assert_allclose(T4[m, :, m, 0], col_ref[:, 0], atol=1e-12)
+        np.testing.assert_allclose(T[::5, 0], row_ref[:, 0], atol=1e-12)
+        np.testing.assert_allclose(T[:5, 0], col_ref[:, 0], atol=1e-12)
 
 
 class TestVandermonde:

@@ -417,6 +417,7 @@ class TestUnknownNames:
             (load_train_settings, "[train]\nepoch = 5\n", "train.epoch"),
             (load_plan, '{"bench": {"trial": 3}}', "bench.trial"),
             (load_plan, "[bench]\nsolver_tolerance = 1e-5\n", "bench.solver_tolerance"),
+            (load_plan, "[bench]\ngrid_step_deg = 0.5\n", "bench.grid_step_deg"),
             (load_scenario, "[geometry]\nrow = 4\n", "geometry.row"),
             # seed is a ScenarioConfig field, but [snapshot] does not hold it
             (load_scenario, "[snapshot]\nseed = 4\n", "snapshot.seed"),
