@@ -246,7 +246,7 @@ def omp_estimate(samples: np.ndarray, dictionary: GridDictionary, num_sources: i
 
 
 def _steering_derivatives(geom: RisGeometry, elevation_deg: float, azimuth_deg: float):
-    """d(steering)/d(theta) and d(steering)/d(phi), angles in radians."""
+    """The steering vector a and its derivatives d(a)/d(theta), d(a)/d(phi), angles in radians."""
     theta = math.radians(elevation_deg)
     phi = math.radians(azimuth_deg)
     a = steering_vector(geom, elevation_deg, azimuth_deg)
@@ -256,7 +256,7 @@ def _steering_derivatives(geom: RisGeometry, elevation_deg: float, azimuth_deg: 
         + geom.col_spacing * n_idx * math.cos(theta) * math.sin(phi)
     )
     d_phi_phase = -2.0 * np.pi * geom.col_spacing * n_idx * math.sin(theta) * math.cos(phi)
-    return a * 1j * d_theta_phase, a * 1j * d_phi_phase
+    return a, a * 1j * d_theta_phase, a * 1j * d_phi_phase
 
 
 def crb_numeric(
@@ -279,13 +279,10 @@ def crb_numeric(
     count = sources.count
     columns = []
     for k in range(count):
-        a = steering_vector(geom, sources.elevations_deg[k], sources.azimuths_deg[k])
-        d_th, d_ph = _steering_derivatives(geom, sources.elevations_deg[k], sources.azimuths_deg[k])
+        a, d_th, d_ph = _steering_derivatives(geom, sources.elevations_deg[k], sources.azimuths_deg[k])
         s_k = sources.amplitudes[k]
-        columns.append(codes @ (s_k * d_th))
-        columns.append(codes @ (s_k * d_ph))
-        columns.append(codes @ a)
-        columns.append(1j * (codes @ a))
+        response = codes @ a
+        columns += [codes @ (s_k * d_th), codes @ (s_k * d_ph), response, 1j * response]
     jac = np.stack(columns, axis=1)
     fim = (2.0 / noise_power) * np.real(jac.conj().T @ jac)
     if np.linalg.cond(fim) > 1e12:

@@ -51,8 +51,7 @@ class SourceSpec:
     azimuths: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError("source count must be positive")
+        _check_int("count", self.count, least=1)
         for name in ("elevation_range", "azimuth_range"):
             _check_range(name, getattr(self, name))
         if (self.elevations is None) != (self.azimuths is None):
@@ -94,11 +93,9 @@ class ScenarioConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        samples = self.num_samples
-        if not (_is_count(samples) and samples >= 1):
-            raise ConfigError(f"num_samples must be an integer of at least 1, got {samples!r}")
-        # +inf is a noiseless snapshot, as in PlanConfig; nan and -inf name no noise level
-        if not (_is_real(self.snr_db) and not math.isnan(self.snr_db) and self.snr_db != -math.inf):
+        _check_int("num_samples", self.num_samples, least=1)
+        _check_int("seed", self.seed)
+        if not _is_level(self.snr_db):
             raise ConfigError(f"snr_db must be a number or +inf, got {self.snr_db!r}")
 
     def schedule(self) -> CodeSchedule:
@@ -127,9 +124,8 @@ class TrainSettings:
 
     def __post_init__(self):
         for name in ("dataset_size", "epochs", "batch_size"):
-            value = getattr(self, name)
-            if not (_is_count(value) and value >= 1):
-                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+            _check_int(name, getattr(self, name), least=1)
+        _check_int("seed", self.seed)
         if not (_is_real(self.learning_rate) and 0.0 < self.learning_rate < math.inf):
             raise ConfigError(
                 f"learning rate must be positive and finite, got {self.learning_rate!r}"
@@ -162,6 +158,18 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is not an integer (a bool is not one) or is under `least`."""
+    if not (_is_count(value) and (least is None or value >= least)):
+        bound = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _is_level(value) -> bool:
+    """An SNR in dB: +inf is a noiseless snapshot; NaN and -inf name no noise level."""
+    return _is_real(value) and not math.isnan(value) and value != -math.inf
+
+
 @dataclass(frozen=True)
 class PlanConfig:
     """One benchmark run: methods x SNR sweep x trials."""
@@ -174,18 +182,16 @@ class PlanConfig:
 
     def __post_init__(self):
         for name in ("trials", "workers"):
-            value = getattr(self, name)
-            if not (_is_count(value) and value >= 1):
-                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not self.snr_list:
-            raise ConfigError("snr_list must hold at least one SNR")
-        # +inf is a noiseless cell; nan and -inf name no noise level
-        bad = [v for v in self.snr_list if math.isnan(v) or v == -math.inf]
+            _check_int(name, getattr(self, name), least=1)
+        _check_int("seed", self.seed)
+        bad = [v for v in self.snr_list if not _is_level(v)]
         if bad:
-            raise ConfigError(f"SNR values must be numbers or +inf, got {bad}")
-        # a repeated method or SNR would run and summarize its cells twice
+            raise ConfigError(f"snr_list must hold SNR numbers or +inf, got {bad}")
         for name in ("methods", "snr_list"):
             values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must hold at least one entry")
+            # a repeated method or SNR would run and summarize its cells twice
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat an entry, got {values}")
 

@@ -285,8 +285,6 @@ def run_bench(
     trial failures are recorded, not raised. The grid step and the solver
     settings are the module's constants.
     """
-    if not plan.methods:
-        raise ConfigError("benchmark needs at least one method")
     unknown = [m for m in plan.methods if m not in METHOD_NAMES]
     if unknown:
         raise ConfigError(f"unknown methods: {', '.join(unknown)}")
@@ -336,17 +334,13 @@ def _write_estimates(path, records) -> None:
                 )
 
 
-def _trial_rmse(record: TrialRecord, count: int) -> float:
-    return math.sqrt(record.squared_error / (2.0 * count))
-
-
 def _write_trials(path, records) -> None:
     # through csv.writer, which quotes the commas of solver messages in error
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "snr_db", "trial", "rmse_deg", "seconds", "iterations", "error"])
         for r in records:
-            rmse = None if r.squared_error is None else _trial_rmse(r, len(r.true_el))
+            rmse = None if r.squared_error is None else rmse_deg([r.squared_error], len(r.true_el))
             writer.writerow([r.method, r.snr_db, r.trial, rmse, r.seconds, r.iterations, r.error])
 
 

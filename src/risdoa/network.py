@@ -14,6 +14,11 @@ moments in place and writes the new parameters into one fresh vector; the
 returned weight and bias arrays are views of it. The arithmetic per element
 is the same as updating each array on its own, so the layout changes no bit
 of a trained model.
+
+A model file holds, in order: the magic b"RDNM", the format version and
+layer count, each layer's (out, in) weight shape, the parameters as one
+little-endian float64 block in that flat order, the feature scale, and the
+JSON metadata. _flatten and _unflatten are the only code that knows the order.
 """
 
 from __future__ import annotations
@@ -158,14 +163,15 @@ def _flatten(layers) -> np.ndarray:
     return np.concatenate([w.reshape(-1) for w in layers.weights] + list(layers.biases))
 
 
-def _unflatten(flat: np.ndarray, like: MlpParams) -> MlpParams:
-    """Parameters shaped like `like` whose arrays are views of flat."""
+def _unflatten(flat: np.ndarray, shapes, feature_scale) -> MlpParams:
+    """Parameters with (out, in) weight shapes `shapes` whose arrays are views of flat."""
     parts, offset = [], 0
-    for a in [*like.weights, *like.biases]:
-        parts.append(flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    num = len(like.weights)
-    return MlpParams(weights=parts[:num], biases=parts[num:], feature_scale=like.feature_scale)
+    for shape in [*shapes, *((out_dim,) for out_dim, _ in shapes)]:
+        size = math.prod(shape)
+        parts.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    num = len(shapes)
+    return MlpParams(weights=parts[:num], biases=parts[num:], feature_scale=feature_scale)
 
 
 def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
@@ -201,7 +207,7 @@ def adam_step(state: AdamState, params: MlpParams, grads: Gradients) -> MlpParam
     step /= work
     value = _flatten(params)
     value -= step
-    return _unflatten(value, params)
+    return _unflatten(value, [w.shape for w in params.weights], params.feature_scale)
 
 
 @dataclass
@@ -304,25 +310,18 @@ def write_loss_history(history, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: magic, version, layer shapes, float64 blobs, JSON metadata
+# on-disk format (see the module docstring)
 
 
 def save_model(params: MlpParams, path, metadata: dict | None = None) -> None:
     meta = json.dumps(metadata or {}, sort_keys=True).encode()
+    shapes = np.asarray([w.shape for w in params.weights], dtype="<u4")
+    scale = np.ascontiguousarray(params.feature_scale, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(params.weights)))
-        for w in params.weights:
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        for w in params.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        for b in params.biases:
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        scale = np.ascontiguousarray(params.feature_scale, dtype="<f8")
-        fh.write(struct.pack("<I", scale.size))
-        fh.write(scale.tobytes())
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
+        fh.write(_MAGIC + struct.pack("<II", _VERSION, len(shapes)) + shapes.tobytes())
+        fh.write(_flatten(params).astype("<f8").tobytes())
+        fh.write(struct.pack("<I", scale.size) + scale.tobytes())
+        fh.write(struct.pack("<Q", len(meta)) + meta)
 
 
 def load_model(path):
@@ -348,27 +347,16 @@ def _parse_model(blob: bytes):
     version, num_layers = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported model version {version}")
-    offset = 12
-    if offset + 8 * num_layers > len(blob):
-        raise ValueError(f"{num_layers} layer shapes do not fit in {len(blob)} bytes")
-    shapes = []
-    for _ in range(num_layers):
-        out_dim, in_dim = struct.unpack_from("<II", blob, offset)
-        shapes.append((out_dim, in_dim))
-        offset += 8
+    dims = struct.unpack_from(f"<{2 * num_layers}I", blob, 12)
+    shapes = list(zip(dims[::2], dims[1::2]))
     if num_layers == 0 or any(b[1] != a[0] for a, b in zip(shapes, shapes[1:])):
         raise ValueError(f"layer shapes {shapes} do not chain")
-    weights = []
-    for out_dim, in_dim in shapes:
-        n = out_dim * in_dim
-        weights.append(
-            np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(out_dim, in_dim).copy()
-        )
-        offset += 8 * n
-    biases = []
-    for out_dim, _ in shapes:
-        biases.append(np.frombuffer(blob, dtype="<f8", count=out_dim, offset=offset).copy())
-        offset += 8 * out_dim
+    offset = 12 + 8 * num_layers
+    size = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+    if offset + 8 * size > len(blob):
+        raise ValueError(f"{size} parameters do not fit in {len(blob)} bytes")
+    flat = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).copy()
+    offset += 8 * size
     (scale_len,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     if scale_len != shapes[0][1]:
@@ -382,4 +370,4 @@ def _parse_model(blob: bytes):
     metadata = json.loads(blob[offset:].decode()) if meta_len else {}
     if not isinstance(metadata, dict):
         raise ValueError("metadata is not a JSON object")
-    return MlpParams(weights=weights, biases=biases, feature_scale=scale), metadata
+    return _unflatten(flat, shapes, scale), metadata

@@ -315,7 +315,7 @@ def test_08_bound_sanity():
 
     worst = 0.0
     for el, az in [(45.4, -22.3), (72.8, 18.9), (47.3, -12.6), (55.0, 10.0)]:
-        d_th, d_ph = _steering_derivatives(geom, el, az)
+        _, d_th, d_ph = _steering_derivatives(geom, el, az)
         step = 1e-6  # radians
         sd = math.degrees(step)
         num_th = (steering_vector(geom, el + sd, az) - steering_vector(geom, el - sd, az)) / (2 * step)

@@ -292,7 +292,7 @@ class TestBound:
         from risdoa.baselines import _steering_derivatives
 
         el, az = 47.3, -12.6
-        d_th, d_ph = _steering_derivatives(GEOM, el, az)
+        _, d_th, d_ph = _steering_derivatives(GEOM, el, az)
         step = 1e-6
         step_deg = math.degrees(step)
         num_th = (

@@ -278,6 +278,19 @@ class TestBench:
         assert fft.startswith("fft,inf,") and fft.endswith(",2,0")
         assert crb == "crb,inf,,2,2"  # the bound is infinite without noise
 
+    def test_single_trial_rmse_equals_its_summary_cell(self, tmp_path):
+        # one trial per cell: trials.csv and summary.csv share one RMSE formula
+        plan = PlanConfig(
+            methods=("fft", "omp", "crb"), snr_list=(10.0, 20.0, math.inf), trials=1, seed=17
+        )
+        paths = run_bench(tiny_scenario(), plan, tmp_path / "out")
+        with open(paths.trials, newline="") as fh:
+            trials = {(r["method"], r["snr_db"]): r["rmse_deg"] for r in csv.DictReader(fh)}
+        with open(paths.summary, newline="") as fh:
+            summary = {(r["method"], r["snr_db"]): r["rmse_deg"] for r in csv.DictReader(fh)}
+        assert len(trials) == 9 and trials == summary
+        assert summary[("crb", "inf")] == "" and summary[("fft", "20.0")] != ""
+
     def test_worker_pool_matches_serial(self, tmp_path):
         plan = PlanConfig(methods=("fft", "crb"), snr_list=(20.0,), trials=2, seed=17)
         serial = run_bench(tiny_scenario(), plan, tmp_path / "serial")
@@ -356,6 +369,10 @@ class TestBench:
     def test_empty_methods_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_bench(tiny_scenario(), PlanConfig(methods=(), trials=1), tmp_path / "out")
+
+    def test_empty_methods_rejected_by_the_plan(self):
+        with pytest.raises(ConfigError, match="methods"):
+            PlanConfig(methods=())
 
     def test_cli_error_exit_code(self, tiny_config, tmp_path):
         code = main(

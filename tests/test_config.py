@@ -276,10 +276,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="workers"):
             PlanConfig(workers=workers)
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, "a", "20"])
     def test_plan_snr_is_a_level(self, snr):
         with pytest.raises(ConfigError, match="SNR"):
             PlanConfig(snr_list=(10.0, snr))
+
+    @pytest.mark.parametrize(
+        "make,field,value",
+        [
+            (PlanConfig, "seed", 2.5),
+            (PlanConfig, "seed", "7"),
+            (ScenarioConfig, "seed", 7.9),
+            (TrainSettings, "seed", True),
+            (SourceSpec, "count", 2.5),
+            (SourceSpec, "count", True),
+        ],
+    )
+    def test_seeds_and_source_counts_are_integers(self, make, field, value):
+        with pytest.raises(ConfigError, match=field):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("make", [PlanConfig, ScenarioConfig, TrainSettings])
+    def test_negative_seeds_are_valid(self, make):
+        assert make(seed=-3).seed == -3
 
     def test_plan_infinite_snr_means_no_noise(self):
         assert PlanConfig(snr_list=(math.inf,)).snr_list == (math.inf,)

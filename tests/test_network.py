@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from risdoa import network
 from risdoa.config import ImpairmentSpec, ScenarioConfig, SourceSpec, TrainSettings
 from risdoa.errors import ConfigError
 from risdoa.model import RisGeometry
@@ -472,6 +473,25 @@ class TestSerialization:
 
 
 GOLDEN_MODEL = (Path(__file__).parent / "golden" / "model.bin").read_bytes()
+
+
+class TestFileLayout:
+    """The model file's parameter block is the flat vector Adam updates."""
+
+    def _assert_block_is_flat(self, blob, params):
+        block = network._flatten(params).astype("<f8").tobytes()
+        start = 12 + 8 * len(params.weights)  # magic, version, layer count, shapes
+        assert blob[start : start + len(block)] == block
+
+    def test_saved_block_is_the_flat_parameter_vector(self, tmp_path):
+        params = init_mlp([6, 9, 8, 7, 9, 6], seed=42, feature_scale=np.linspace(0.5, 2.0, 6))
+        path = tmp_path / "model.bin"
+        save_model(params, path)
+        self._assert_block_is_flat(path.read_bytes(), params)
+
+    def test_golden_block_is_the_flat_parameter_vector(self):
+        params, _ = network._parse_model(GOLDEN_MODEL)
+        self._assert_block_is_flat(GOLDEN_MODEL, params)
 
 
 class TestCorruptModelFiles:
