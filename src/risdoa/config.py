@@ -23,6 +23,8 @@ from .model import (
     ImpairmentModel,
     RisGeometry,
     SourceSet,
+    _check_int,
+    _is_count,
     build_code_schedule,
     sample_impairments,
     sample_sources,
@@ -52,6 +54,9 @@ class SourceSpec:
 
     def __post_init__(self):
         _check_int("count", self.count, least=1)
+        sep = self.min_separation_deg
+        if not (_is_real(sep) and 0.0 <= sep < math.inf):
+            raise ConfigError(f"min_separation_deg must be a finite number >= 0, got {sep!r}")
         for name in ("elevation_range", "azimuth_range"):
             _check_range(name, getattr(self, name))
         if (self.elevations is None) != (self.azimuths is None):
@@ -152,17 +157,6 @@ def _is_sequence(value, length: int) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_int(name: str, value, least: int | None = None) -> None:
-    """Refuse a value that is not an integer (a bool is not one) or is under `least`."""
-    if not (_is_count(value) and (least is None or value >= least)):
-        bound = "" if least is None else f" of at least {least}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _is_level(value) -> bool:

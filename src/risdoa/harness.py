@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,13 @@ METHOD_NAMES = ("fft", "omp", "fft-denoise", "omp-denoise", "anm-denoise", "dnn-
 _MODEL_METHODS = frozenset({"fft-denoise", "omp-denoise", "anm-denoise", "dnn-danm"})
 _GRID_METHODS = frozenset({"fft", "omp", "fft-denoise", "omp-denoise"})
 
-# the paper compares every method under one set-up, so its grid and solver settings are fixed
+# the paper compares every method under one set-up, so its grid and solver settings are fixed.
+# A solve fixes the angles only well below its noise, so it stops at max(tolerance,
+# _NOISE_STOP * sqrt(P) / ||z||), P being its noise budget and z its data (_noise_stop).
 _GRID_STEP_DEG = 1.0
 _DANM_CONFIG = SolverConfig(mode="noise-ball", tolerance=1e-5, max_iterations=20_000)
 _FULL_CONFIG = SolverConfig(mode="regularized", tolerance=1e-5, max_iterations=20_000)
+_NOISE_STOP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,18 @@ def _reconstruction_budget(recon, nominal: float, codes: np.ndarray) -> float:
     return max(nominal, estimate * (1.0 + 1e-9))
 
 
+def _noise_stop(config: SolverConfig, budget: float, z: np.ndarray) -> SolverConfig:
+    """config with its tolerance raised to _NOISE_STOP * sqrt(budget) / ||z||.
+
+    The ratio is unchanged under z -> c z, budget -> c^2 budget. A zero
+    budget (a noiseless cell) or a zero z keeps the config's tolerance.
+    """
+    norm = float(np.linalg.norm(z))
+    if budget <= 0.0 or norm == 0.0:
+        return config
+    return replace(config, tolerance=max(config.tolerance, _NOISE_STOP * math.sqrt(budget) / norm))
+
+
 def _estimate(method: str, snap, recon, sources):
     """Run one estimator; returns its result and the solve's iteration count.
 
@@ -218,11 +233,13 @@ def _estimate(method: str, snap, recon, sources):
     if method == "dnn-danm":
         codes = ctx["schedule"].codes
         budget = _reconstruction_budget(recon, total_noise, codes)
-        vars = solve_danm(recon, codes, geom, _DANM_CONFIG, noise_power=budget)
+        config = _noise_stop(_DANM_CONFIG, budget, recon)
+        vars = solve_danm(recon, codes, geom, config, noise_power=budget)
         return estimate_doa(vars, geom, count), vars.diagnostics.iterations
     if method == "anm-denoise":
+        config = _noise_stop(_FULL_CONFIG, total_noise, recon)
         vars = solve_full_anm(
-            geom, _FULL_CONFIG, z=recon, G=ctx["schedule"].codes, noise_power=total_noise
+            geom, config, z=recon, G=ctx["schedule"].codes, noise_power=total_noise
         )
         return estimate_from_full(vars, geom, count), vars.diagnostics.iterations
     if method == "crb":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -30,6 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is not an integer (a bool is not one) or is under `least`."""
+    if not (_is_count(value) and (least is None or value >= least)):
+        bound = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +54,8 @@ class RisGeometry:
     col_spacing: float = 0.4
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        _check_int("rows", self.rows, least=1)
+        _check_int("cols", self.cols, least=1)
         for name, d in (("row_spacing", self.row_spacing), ("col_spacing", self.col_spacing)):
             if not 0.0 < d <= 0.5:
                 raise ValueError(f"{name} must lie in (0, 0.5] wavelengths, got {d}")

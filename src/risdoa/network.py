@@ -134,7 +134,7 @@ def backward(params: MlpParams, x: np.ndarray, target: np.ndarray):
     t2 = np.atleast_2d(np.asarray(target, float))
     acts, pres = _forward_trace(params, x2)
     out = acts[-1]
-    loss = float(np.mean((out - t2) ** 2))
+    loss = mse_loss(out, t2)
     # d(mean sq err)/d(out); the mean runs over batch rows and features
     delta = 2.0 * (out - t2) / out.size
     num = len(params.weights)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risdoa.cli import main
 from risdoa.config import (
@@ -466,6 +467,65 @@ class TestReconstructionBudget:
         e = 2.0 * self.out_of_range / np.linalg.norm(self.out_of_range)  # energy 4
         budget = _reconstruction_budget(self.in_range + e, 0.3, self.G)
         assert budget == pytest.approx(4.0 * 12 / (12 - 5), rel=1e-8)
+
+
+class TestNoiseStop:
+    """Each bench solve stops at max(tolerance, 1e-3 sqrt(P) / ||z||)."""
+
+    z = np.random.default_rng(3).standard_normal(40) * (1 + 1j)
+
+    def tolerance(self, budget, z, config=None):
+        from risdoa import harness
+
+        return harness._noise_stop(config or harness._DANM_CONFIG, budget, z).tolerance
+
+    @pytest.mark.parametrize("scale", [1 / 64, 0.3, 7.0, 64.0])
+    def test_unchanged_when_data_and_budget_scale_together(self, scale):
+        budget = 0.05 * float(np.vdot(self.z, self.z).real)
+        base = self.tolerance(budget, self.z)
+        assert base > 1e-5  # the noise term decides, not the floor
+        assert self.tolerance(scale**2 * budget, scale * self.z) == pytest.approx(base, rel=1e-12)
+
+    def test_noise_to_signal_ratio_sets_the_stop(self):
+        budget = 0.01 * float(np.vdot(self.z, self.z).real)  # amplitude ratio 0.1
+        assert self.tolerance(budget, self.z) == pytest.approx(1e-4, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        budget=st.floats(0.0, 1e12, allow_subnormal=False),
+        scale=st.floats(0.0, 1e6, allow_subnormal=False),
+    )
+    def test_never_below_the_config_tolerance(self, budget, scale):
+        from risdoa import harness
+
+        for config in (harness._DANM_CONFIG, harness._FULL_CONFIG):
+            assert self.tolerance(budget, scale * self.z, config) >= 1e-5
+
+    @pytest.mark.parametrize("budget,scale", [(0.0, 1.0), (2.5, 0.0), (0.0, 0.0)])
+    def test_zero_budget_or_zero_data_keeps_the_tolerance(self, budget, scale):
+        from risdoa import harness
+
+        for config in (harness._DANM_CONFIG, harness._FULL_CONFIG):
+            assert self.tolerance(budget, scale * self.z, config) == 1e-5
+
+    def test_patched_full_config_reaches_the_solve(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from risdoa import harness
+
+        settings = TrainSettings(
+            dataset_size=24, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5
+        )
+        model_path, _ = run_train(tiny_scenario(), settings, tmp_path / "train")
+        monkeypatch.setattr(
+            harness, "_FULL_CONFIG", dataclasses.replace(harness._FULL_CONFIG, max_iterations=2)
+        )
+        plan = PlanConfig(methods=("anm-denoise",), snr_list=(20.0,), trials=1, seed=17)
+        paths = run_bench(tiny_scenario(), plan, tmp_path / "bench", model_path=model_path)
+        with open(paths.trials, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"].startswith("SolverConvergenceError: full splitting did not reach")
+        assert "in 2 iterations" in row["error"]
 
 
 class TestCompare:

@@ -296,6 +296,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             make(**{field: value})
 
+    @pytest.mark.parametrize(
+        "shape,field",
+        [((2.5, 3), "rows"), ((3, 2.5), "cols"), ((True, 3), "rows"), ((0, 3), "rows"),
+         ((3, -1), "cols"), (("2", 3), "rows")],
+    )
+    def test_geometry_sides_are_positive_integers(self, shape, field):
+        with pytest.raises(ConfigError, match=field):
+            RisGeometry(*shape)
+
+    @pytest.mark.parametrize("separation", ["a", math.nan, -1.0, math.inf, True])
+    def test_source_separation_is_a_finite_nonnegative_number(self, separation):
+        with pytest.raises(ConfigError, match="min_separation_deg"):
+            SourceSpec(min_separation_deg=separation)
+
     @pytest.mark.parametrize("make", [PlanConfig, ScenarioConfig, TrainSettings])
     def test_negative_seeds_are_valid(self, make):
         assert make(seed=-3).seed == -3
