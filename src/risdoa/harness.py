@@ -202,11 +202,8 @@ def _reconstruction_budget(recon, nominal: float, codes: np.ndarray) -> float:
 
 
 def _noise_stop(config: SolverConfig, budget: float, z: np.ndarray) -> SolverConfig:
-    """config with its tolerance raised to _NOISE_STOP * sqrt(budget) / ||z||.
-
-    The ratio is unchanged under z -> c z, budget -> c^2 budget. A zero
-    budget (a noiseless cell) or a zero z keeps the config's tolerance.
-    """
+    """config, its tolerance raised to _NOISE_STOP * sqrt(budget) / ||z|| where that is
+    larger; a zero budget (a noiseless cell) or a zero z keeps the config's tolerance."""
     norm = float(np.linalg.norm(z))
     if budget <= 0.0 or norm == 0.0:
         return config

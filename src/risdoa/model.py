@@ -57,8 +57,8 @@ class RisGeometry:
         _check_int("rows", self.rows, least=1)
         _check_int("cols", self.cols, least=1)
         for name, d in (("row_spacing", self.row_spacing), ("col_spacing", self.col_spacing)):
-            if not 0.0 < d <= 0.5:
-                raise ValueError(f"{name} must lie in (0, 0.5] wavelengths, got {d}")
+            if not (isinstance(d, numbers.Real) and 0.0 < d <= 0.5):
+                raise ConfigError(f"{name} must lie in (0, 0.5] wavelengths, got {d!r}")
 
     @property
     def n_elements(self) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from risdoa import harness
 from risdoa.cli import main
 from risdoa.config import (
     ImpairmentSpec,
@@ -475,8 +476,6 @@ class TestNoiseStop:
     z = np.random.default_rng(3).standard_normal(40) * (1 + 1j)
 
     def tolerance(self, budget, z, config=None):
-        from risdoa import harness
-
         return harness._noise_stop(config or harness._DANM_CONFIG, budget, z).tolerance
 
     @pytest.mark.parametrize("scale", [1 / 64, 0.3, 7.0, 64.0])
@@ -496,22 +495,16 @@ class TestNoiseStop:
         scale=st.floats(0.0, 1e6, allow_subnormal=False),
     )
     def test_never_below_the_config_tolerance(self, budget, scale):
-        from risdoa import harness
-
         for config in (harness._DANM_CONFIG, harness._FULL_CONFIG):
             assert self.tolerance(budget, scale * self.z, config) >= 1e-5
 
     @pytest.mark.parametrize("budget,scale", [(0.0, 1.0), (2.5, 0.0), (0.0, 0.0)])
     def test_zero_budget_or_zero_data_keeps_the_tolerance(self, budget, scale):
-        from risdoa import harness
-
         for config in (harness._DANM_CONFIG, harness._FULL_CONFIG):
             assert self.tolerance(budget, scale * self.z, config) == 1e-5
 
     def test_patched_full_config_reaches_the_solve(self, tmp_path, monkeypatch):
         import dataclasses
-
-        from risdoa import harness
 
         settings = TrainSettings(
             dataset_size=24, epochs=1, batch_size=8, hidden_widths=(8, 8, 8, 8), seed=5

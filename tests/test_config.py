@@ -305,6 +305,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             RisGeometry(*shape)
 
+    @pytest.mark.parametrize("spacing", ["a", 0.0, 0.6, math.nan])
+    def test_geometry_spacing_is_a_number_in_half_a_wavelength(self, spacing):
+        with pytest.raises(ConfigError, match="col_spacing"):
+            RisGeometry(2, 2, col_spacing=spacing)
+
     @pytest.mark.parametrize("separation", ["a", math.nan, -1.0, math.inf, True])
     def test_source_separation_is_a_finite_nonnegative_number(self, separation):
         with pytest.raises(ConfigError, match="min_separation_deg"):

@@ -40,6 +40,7 @@ def gate_cells(out_dir, seeds, trials, methods=("dnn-danm", "anm-denoise")) -> d
     original = harness._estimate
     cells = {}
 
+    # wraps the harness's per-method call; snr is that of the run_bench call in progress below
     def estimate(method, *args):
         result, iterations = original(method, *args)
         if iterations is None:
