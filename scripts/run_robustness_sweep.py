@@ -29,7 +29,7 @@ CONDITIONS = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results/robustness"))
     parser.add_argument("--model", type=Path, default=None,
@@ -38,7 +38,7 @@ def main() -> int:
     parser.add_argument("--snr", type=float, default=20.0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=4242)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     model_path = args.model
     if model_path is None or not model_path.exists():
@@ -48,7 +48,8 @@ def main() -> int:
     else:
         print(f"reusing {model_path}")
 
-    table: dict[str, dict[str, float]] = {}
+    # per condition, each method's RMSE, or None when no trial of it survived
+    table: dict[str, dict[str, float | None]] = {}
     for name, impairments in CONDITIONS.items():
         scenario = desk_scenario(
             seed=args.seed,
@@ -62,20 +63,24 @@ def main() -> int:
         paths = run_bench(scenario, plan, args.out / name, model_path=model_path)
         with open(paths.summary) as fh:
             table[name] = {
-                row["method"]: float(row["rmse_deg"])
+                row["method"]: float(row["rmse_deg"]) if row["rmse_deg"] else None
                 for row in csv.DictReader(fh)
-                if row["rmse_deg"]
             }
         print(f"{name:15s} -> {paths.summary}")
 
     methods = list(table["nominal"])
     print(f"\n{'method':<13}" + "".join(f"{c:>16}" for c in CONDITIONS))
     for method in methods:
-        cells = "".join(f"{table[c][method]:>16.4f}" for c in CONDITIONS)
+        cells = "".join(
+            f"{'n/a':>16}" if table[c][method] is None else f"{table[c][method]:>16.4f}"
+            for c in CONDITIONS
+        )
         print(f"{method:<13}" + cells)
     for name in list(CONDITIONS)[1:]:
-        regressed = [m for m in methods if table[name][m] <= table["nominal"][m]]
-        best = min(methods, key=lambda m: table[name][m])
+        scored = [m for m in methods if table[name][m] is not None]
+        nominal = table["nominal"]
+        regressed = [m for m in scored if nominal[m] is not None and table[name][m] <= nominal[m]]
+        best = min(scored, key=table[name].get, default="n/a")
         note = "all methods degrade" if not regressed else f"unchanged: {', '.join(regressed)}"
         print(f"{name}: best={best}, {note}")
     return 0

@@ -14,7 +14,8 @@ the observation either through a hard residual ball ||z - G x|| <= radius
 ("noise-ball") or through a quadratic penalty plus a weighted trace
 ("regularized"). Atoms are unit Frobenius norm throughout, so the optimal
 objective of a well-separated sparse target equals the sum of its atom
-weights.
+weights. The atomic norm of a given x is the full noise-ball program with
+z = x, G = I and a zero radius (Bhaskar, Tang & Recht 2013).
 
 The splitting is the scaled-dual ADMM of Boyd et al. (2011), run in its
 one-variable Douglas-Rachford form on W, the input of the PSD projection.
@@ -40,8 +41,8 @@ mean of the extreme curvatures is the ADMM step size of Ghadimi, Teixeira,
 Shames & Johansson (2015). When the noise power P is given, that start is
 multiplied by sqrt(||z|| / sqrt(P)), the root of the data's amplitude SNR,
 which rescaling z by c and P by c^2 leaves alone; an explicit alpha without
-P, a zero z and P = 0 keep the curvature start. The ball and atomic
-couplings have no data curvature and start at rho = 1.
+P, a zero z and P = 0 keep the curvature start. The ball coupling has no
+data curvature and starts at rho = 1.
 
 W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
 packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
@@ -51,9 +52,7 @@ gains one row and column per iteration. The extrapolation is safeguarded
 (Zhang, O'Donoghue & Boyd 2020). It is refused when the Gram solve fails or
 its coefficients blow up. It is undone, for the plain image it replaced,
 when the residual at the extrapolated point exceeds the last plain step's.
-Either way, and on each change of rho, the history is cleared. The atomic
-mode, which evaluates the atomic norm of a given x, couples the border to
-that fixed x.
+Either way, and on each change of rho, the history is cleared.
 
 The PSD projection is most of a solve's cost. Near a sparse solution the
 iterate has few positive eigenvalues (Boyd et al. 2011, sec. 4.4), and the
@@ -115,7 +114,7 @@ from .errors import (
     SizeCapError,
     SolverConvergenceError,
 )
-from .model import RisGeometry, axis_atom
+from .model import RisGeometry, _check_int, _is_real, axis_atom
 
 _FLOOR = 1e-12
 
@@ -340,11 +339,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("noise-ball", "regularized"):
             raise ConfigError(f"unknown solver mode {self.mode!r}")
+        _check_int("max_iterations", self.max_iterations, least=1)
         # written to refuse NaN, which would only fail at the end of the budget
-        if not self.tolerance > 0 or self.max_iterations < 1:
-            raise ConfigError("tolerance, max_iterations must be positive")
-        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        if not (_is_real(self.tolerance) and 0.0 < self.tolerance < math.inf):
+            raise ConfigError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
+        alpha = self.alpha
+        if alpha is not None and not (_is_real(alpha) and math.isfinite(alpha) and alpha >= 0):
+            raise ConfigError(f"alpha must be finite and nonnegative, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -483,20 +484,19 @@ class _DataStep:
         In the SVD basis the residual of x0 is r on the range of G, and the
         projection is xt = (xt0 + lam s zt) / (1 + lam s^2) for the
         multiplier lam >= 0 that solves the secular equation
-        sum |r|^2 / (1 + lam s^2)^2 = budget. x0 comes back unchanged when
-        it already lies in the ball, and a zero budget gives the exact fit
-        on the range.
+        sum |r|^2 / (1 + lam s^2)^2 = budget. A zero budget always gives the
+        exact fit on the range, however small z is; otherwise x0 comes back
+        unchanged when it already lies in the ball.
         """
         xt = self.Vh @ x0
-        r0 = self.zt - self.s * xt[: self.rank]
-        r0_sq = np.abs(r0) ** 2
+        if self.budget_sq <= _FLOOR**2:  # checked first, so a tiny z is fit exactly too
+            xt[: self.rank] = self.zt / self.s
+            return self.V @ xt
+        r0_sq = np.abs(self.zt - self.s * xt[: self.rank]) ** 2
         if float(r0_sq.sum()) <= self.budget_sq + _FLOOR:
             return x0
-        if self.budget_sq <= _FLOOR**2:
-            xt[: self.rank] = self.zt / self.s
-        else:
-            lam = self._secular_root(r0_sq)
-            xt[: self.rank] = (xt[: self.rank] + lam * self.s * self.zt) / (1.0 + lam * self.s_sq)
+        lam = self._secular_root(r0_sq)
+        xt[: self.rank] = (xt[: self.rank] + lam * self.s * self.zt) / (1.0 + lam * self.s_sq)
         return self.V @ xt
 
     def _secular_root(self, r0_sq: np.ndarray) -> float:
@@ -566,19 +566,6 @@ class _DataStep:
         vt = self.Vh @ v
         xt = (self.sz_full + 2.0 * rho * vt) / (self.s_full**2 + 2.0 * rho)
         return self.V @ xt
-
-
-class _FixedCoupling:
-    """The atomic mode's coupling: the observed block is held at x itself."""
-
-    rho0 = 1.0
-    root_solves = secular_evaluations = brentq_fallbacks = 0
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-
-    def couple(self, v: np.ndarray, rho: float) -> np.ndarray:
-        return self.x
 
 
 def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) -> float:
@@ -827,9 +814,10 @@ def solve_full_anm(
 ) -> FullSdpVars:
     """Solve the full bordered program over the MN-element response.
 
-    Pass either x (the response itself; computes its atomic decomposition
-    value) or the observation pair (z, G) for denoising in the configured
-    mode. An MN above 256 raises SizeCapError: the PSD block has side MN + 1.
+    Pass either the observation pair (z, G) for denoising in the configured
+    mode, or the response x itself for its atomic norm: the noise-ball solve
+    of z = x through G = I at zero noise power, whatever config.mode says.
+    An MN above 256 raises SizeCapError: the PSD block has side MN + 1.
     A NaN or inf in x, z, G or noise_power raises DegenerateInputError.
     """
     config = config or SolverConfig()
@@ -846,7 +834,7 @@ def solve_full_anm(
         if x.size != mn:
             raise ValueError(f"x must have {mn} entries")
         _require_finite(x=x)
-        data, weight = _FixedCoupling(x), 1.0
+        data, weight = _DataStep(np.eye(mn), x, "noise-ball"), 1.0  # zero radius: exact fit
     Q, diag = _solve(((M, N), (1, 1)), data, weight, config, "full")  # the scalar t last
     return FullSdpVars(T=Q[:mn, :mn], t=float(Q[mn, mn].real), x=Q[:mn, mn], diagnostics=diag)
 

@@ -11,7 +11,6 @@ import configparser
 import hashlib
 import json
 import math
-import numbers
 import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -25,6 +24,7 @@ from .model import (
     SourceSet,
     _check_int,
     _is_count,
+    _is_real,
     build_code_schedule,
     sample_impairments,
     sample_sources,
@@ -153,10 +153,6 @@ def _check_range(label: str, value) -> None:
 
 def _is_sequence(value, length: int) -> bool:
     return isinstance(value, (tuple, list)) and len(value) == length
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_level(value) -> bool:

@@ -37,6 +37,10 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, least: int | None = None) -> None:
     """Refuse a value that is not an integer (a bool is not one) or is under `least`."""
     if not (_is_count(value) and (least is None or value >= least)):
@@ -195,8 +199,8 @@ class Snapshot:
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("samples must be a nonempty 1D complex vector")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be nonnegative")
+        if not self.noise_power >= 0:  # written to refuse NaN
+            raise ValueError(f"noise_power must be nonnegative, got {self.noise_power!r}")
         object.__setattr__(self, "samples", s)
 
 

@@ -262,7 +262,8 @@ class TestPackedForm:
 
         def data():  # a fresh coupling per step, so both start from the same warm start
             if coupling == "atomic":
-                return anm._FixedCoupling(_rand_complex(np.random.default_rng(seed), mn))
+                x = _rand_complex(np.random.default_rng(seed), mn)
+                return anm._DataStep(np.eye(mn), x, "noise-ball")  # the atomic norm's coupling
             G = _rand_complex(np.random.default_rng(seed), max(mn - 1, 1), mn)
             z = G @ _rand_complex(np.random.default_rng(seed + 1), mn)
             return anm._DataStep(G, z, coupling, radius=0.3 * np.linalg.norm(z))
@@ -615,11 +616,27 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("max_iterations", 0),
+            ("tolerance", math.inf),
+            ("tolerance", "1e-5"),
+            ("tolerance", True),
+        ],
+    )
+    def test_non_numbers_and_non_finite_values_rejected(self, field, value):
+        # once a TypeError mid-solve, a solve "in True iterations" or a stop after one iteration
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            SolverConfig(**{field: value})
+
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tolerance"):
             SolverConfig(tolerance=math.nan)
 
-    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf, "0.1"])
     def test_negative_or_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError, match="alpha"):
             SolverConfig(mode="regularized", alpha=alpha)
@@ -786,6 +803,14 @@ class TestFullSolver:
         x = _rand_complex(rng, 9)
         assert atomic_norm(2.0 * x, geom) == pytest.approx(2.0 * atomic_norm(x, geom), rel=1e-3)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-7])
+    def test_homogeneity_holds_for_tiny_responses(self, scale):
+        # a zero noise ball fits x exactly at every scale, however small ||x|| is
+        geom = RisGeometry(3, 3)
+        x = _rand_complex(np.random.default_rng(9), 9)
+        value = atomic_norm(scale * x, geom)
+        assert value == pytest.approx(scale * atomic_norm(x, geom), rel=1e-3)
+
     def test_matches_decoupled_objective(self):
         geom = RisGeometry(3, 4)
         x = 1.0 * unit_vec_atom(geom, -0.55, 0.6) + 2.0 * np.exp(0.3j) * unit_vec_atom(
@@ -795,6 +820,17 @@ class TestFullSolver:
         dec = solve_danm(x, np.eye(12), geom, noise_power=0.0)
         assert full.diagnostics.trace_objective == pytest.approx(3.0, rel=2e-2)
         assert dec.diagnostics.trace_objective == pytest.approx(3.0, rel=2e-2)
+
+    def test_atomic_norm_ignores_the_configured_mode(self):
+        # the x route is always the noise-ball solve of z = x through G = I
+        geom = RisGeometry(3, 4)
+        x = unit_vec_atom(geom, -0.55, 0.6) + 2.0 * np.exp(0.3j) * unit_vec_atom(geom, 0.5, -0.35)
+        ball = solve_full_anm(geom, x=x)
+        regularized = solve_full_anm(geom, SolverConfig(mode="regularized"), x=x)
+        for a, b in ((ball.T, regularized.T), (ball.x, regularized.x)):
+            assert a.tobytes() == b.tobytes()
+        assert repr(ball.t) == repr(regularized.t)
+        assert ball.diagnostics == regularized.diagnostics
 
     def test_denoise_mode_recovers_target(self):
         geom = RisGeometry(3, 3)
@@ -1008,7 +1044,7 @@ class TestStepSizeStart:
 
     A known noise power P multiplies that by sqrt(||z|| / sqrt(P)); an
     explicit alpha without P, a zero z and P = 0 keep the curvature scale.
-    The noise-ball and atomic couplings start at 1.
+    The noise-ball coupling starts at 1, the atomic norm's solve included.
     """
 
     @pytest.mark.parametrize("program", ["danm", "full"])

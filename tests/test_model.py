@@ -508,3 +508,14 @@ class TestSnapshotIo:
         assert lines[1].startswith("0,")
         sidecar = path.with_suffix(".json")
         assert sidecar.exists() and "scenario_hash" in sidecar.read_text()
+
+    def test_nan_noise_power_rejected(self, tmp_path):
+        # nan < 0 is false, so a sign test alone let it through
+        with pytest.raises(ValueError, match="noise_power"):
+            Snapshot(samples=np.array([1.0 + 0.0j]), noise_power=math.nan, seed=0)
+        path = tmp_path / "snap.csv"
+        write_snapshot(Snapshot(samples=np.array([1.0 + 0.0j]), noise_power=0.5, seed=0), path)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(sidecar.read_text().replace("0.5", "NaN"))
+        with pytest.raises(ValueError, match="noise_power"):
+            read_snapshot(path)
