@@ -56,15 +56,14 @@ Either way, and on each change of rho, the history is cleared.
 
 The PSD projection is most of a solve's cost. Near a sparse solution the
 iterate has few positive eigenvalues (Boyd et al. 2011, sec. 4.4), and the
-projection computes only those eigenpairs, with LAPACK's zheevr over the
-interval (0, inf) on the lower triangle that the packed iterate fills. For
-such a partial request zheevr finds the eigenvalues by bisection and their
-vectors by inverse iteration (its MRRR path, Dhillon & Parlett 2004, serves
-the full spectrum), so the saving over a full eigendecomposition shrinks as
-the positive share grows: on a 2-vCPU Xeon 2 or 3 of the side-65 full
-program's 65 eigenvalues are positive and the partial solve takes about a
-third of a full one's time, while on the 16 x 16 decoupled program (side
-32) about half are, and it costs 1.6 to 2.1 times a full eigh.
+projection computes only those m eigenpairs, with LAPACK's zheevr over the
+interval (0, inf): bisection to an absolute tolerance of 1e-12 ||W|| /
+sqrt(side), then inverse iteration. That cost grows with m, so once the
+solve's last projection kept a third of the side or more, the next one
+takes the whole spectrum from the divide-and-conquer zheevd. LAPACK gets W
+divided by the power of two that brings ||W||^2 into [1/2, 2), and the
+eigenvalues are scaled back, so the projection of 2^j W is exactly 2^j
+times that of W.
 
 zheevr runs in scipy's OpenBLAS and the matrix products in numpy's; the two
 libraries keep separate thread pools, which under default threads
@@ -86,8 +85,9 @@ the trust-region subproblem of More & Sorensen (1983). Newton's method on
 the reciprocal form 1/sqrt(budget) - 1/||r(lam)|| converges monotonically
 from the left of the root. Each projection starts from the previous
 projection's root, which the iterates barely move between splitting steps,
-so a few evaluations of the secular sum suffice; a projection that exceeds
-the Newton step cap falls back to a bracketed brentq search. The solver
+and stops after a step of at most 1e-7 of the multiplier, which quadratic
+convergence leaves good to about 1e-14: two or three secular sums suffice. A
+projection that exceeds the Newton step cap falls back to brentq. The solver
 diagnostics count the root solves, the secular evaluations and the
 fallbacks.
 """
@@ -98,13 +98,14 @@ import ctypes
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dposv, zheevr
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import dposv, zheevd, zheevr
 from scipy.optimize import brentq
 
 from .errors import (
@@ -149,11 +150,11 @@ def _svec_layout(n: int):
     return offsets, scale
 
 
-def _lower(v: np.ndarray) -> np.ndarray:
-    """Column-major matrix with the packed v in its lower triangle and zeros above."""
+def _lower(v: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+    """Column-major matrix with the packed v in its lower triangle: L, or zeros above it."""
     n = math.isqrt(v.size)
     offsets, scale = _svec_layout(n)
-    L = np.zeros((n, n), dtype=complex, order="F")
+    L = np.zeros((n, n), dtype=complex, order="F") if L is None else L
     _real(L.T)[offsets] = v / scale
     return L
 
@@ -175,14 +176,14 @@ def smat(v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _structure(grids: tuple):
-    """(side, class ids, class counts, border Re offsets, border Im offsets) of a packed matrix.
+    """(side, class ids, class counts, border offsets, border scales) of a packed matrix.
 
     grids holds the (rows, cols) of each diagonal block; its entry
     ((m, n), (m', n')) is in class (m - m', n - n'), with the real and
     imaginary parts in classes of their own, so averaging each class
     projects the blocks onto Hermitian (two-level) Toeplitz structure. The
-    border between two blocks is one class for the caller to overwrite;
-    its offsets run row-major over the top-right block.
+    border between two blocks is one class for the caller to overwrite; the
+    packed entries at its offsets times scales are the top-right block's Re, Im.
     """
     n = sum(rows * cols for rows, cols in grids)
     key = np.full((n, n), -1)
@@ -202,8 +203,10 @@ def _structure(grids: tuple):
     where[r, c] = np.arange(n, n + r.size)
     k = grids[0][0] * grids[0][1]
     re = where[k:, :k].T.ravel()  # the lower-left block holds conj(x)
-    ids.flags.writeable = counts.flags.writeable = re.flags.writeable = False
-    return n, ids, counts, re, re + r.size
+    border = np.stack([re, re + r.size], axis=1).ravel()
+    scales = np.tile([1.0, -1.0], re.size) / _SQRT2
+    ids.flags.writeable = counts.flags.writeable = border.flags.writeable = scales.flags.writeable = False
+    return n, ids, counts, border, scales
 
 
 def project_toeplitz_hermitian(A: np.ndarray) -> np.ndarray:
@@ -222,26 +225,50 @@ def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
     mn = rows * cols
     if A.shape != (mn, mn):
         raise ValueError(f"expected a {mn}x{mn} matrix for a {rows}x{cols} grid")
-    _, ids, counts, _, _ = _structure(((rows, cols),))
+    _, ids, counts, *_ = _structure(((rows, cols),))
     return smat((np.bincount(ids, weights=svec(A)) / counts)[ids])
 
 
-def project_psd(w: np.ndarray) -> np.ndarray:
+class _PsdBuffer:
+    """One solve's eigensolve input, column-major, and the last projection's positive count."""
+
+    def __init__(self, n: int):
+        self.lower = np.zeros((n, n), dtype=complex, order="F")
+        self.positives = 0
+
+
+def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix, packed in and out (svec).
 
-    The projection keeps the eigenpairs with positive eigenvalue and drops
-    the rest, so only those m pairs are computed (zheevr over (0, inf) on
-    the lower triangle) and the result is V_m diag(w_m) V_m^H; m = 0 gives
-    the zero matrix. A failed eigensolve raises DegenerateInputError.
+    Keeps the m eigenpairs with positive eigenvalue: V_m diag(w_m) V_m^H, or
+    zero at m = 0. LAPACK sees W / 2^k with ||W / 2^k||^2 in [1/2, 2), so the
+    result for 2^j w is exactly 2^j times that for w. zheevr finds only the
+    m pairs, to a tolerance of 1e-12 ||W|| / sqrt(side), so their m errors
+    move the result by at most 5e-13 ||W||; zheevd finds all once the last
+    projection through the same buffer kept a third of the side or more. A
+    failed eigensolve raises DegenerateInputError.
     """
-    H = _lower(np.asarray(w, dtype=float))
-    ev, V, m, _, info = zheevr(H, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, overwrite_a=1)
+    w = np.asarray(w, dtype=float)
+    buffer = buffer or _PsdBuffer(math.isqrt(w.size))
+    norm_sq = w.dot(w)
+    k = math.frexp(norm_sq)[1] // 2
+    H = _lower(w * math.ldexp(1.0, -k), buffer.lower)  # LAPACK reads the lower triangle only
+    n = len(H)
+    if 3 * buffer.positives >= n:
+        ev, V, info = zheevd(H, lower=1, overwrite_a=1)
+        first = int(np.searchsorted(ev, 0.0, side="right"))  # ascending: the positive pairs last
+        name, ev, V = "zheevd", ev[first:], V[:, first:]
+    else:
+        tol = 1e-12 * math.sqrt(math.ldexp(norm_sq, -2 * k) / n)
+        ev, V, m, _, info = zheevr(H, range="V", lower=1, vl=0.0, vu=np.inf, abstol=tol, overwrite_a=1)
+        name, ev, V = "zheevr", ev[:m], V[:, :m]
     if info != 0:
-        raise DegenerateInputError(f"PSD projection: LAPACK zheevr failed with info = {info}")
-    V = V[:, :m]
-    offsets, scale = _svec_layout(H.shape[0])
-    # conj(V_m diag(w_m) V_m^H) row-major is the projection column-major
-    return _real((V.conj() * ev[:m]) @ V.T)[offsets] * scale
+        raise DegenerateInputError(f"PSD projection: LAPACK {name} failed with info = {info}")
+    buffer.positives = ev.size
+    offsets, scale = _svec_layout(n)
+    # the lower triangle of 2^k V_m diag(w_m) V_m^H, column-major like H
+    Z = zherk(math.ldexp(1.0, k), V * np.sqrt(ev, dtype=complex), lower=1)
+    return _real(Z.T)[offsets] * scale
 
 
 # numpy and scipy each load their own OpenBLAS: the directory of each
@@ -404,9 +431,9 @@ class AtomicDecomposition:
 # data-coupling steps in the SVD basis of G
 
 
-# Newton steps allowed per ball projection before it falls back to brentq
+# Newton steps per ball projection before brentq takes over; the relative step that ends them
 _NEWTON_STEPS = 30
-_EPS = float(np.finfo(float).eps)
+_NEWTON_STOP = 1e-7
 
 
 @lru_cache(maxsize=4)
@@ -450,6 +477,7 @@ class _DataStep:
         self.rank = rank
         self.s = s[:rank]
         self.s_sq = self.s**2
+        self.u = 1.0 / self.s_sq  # 1 / (1 + lam s^2) = u / (u + lam)
         self.zt = zt[:rank]
         # observation energy outside the range of G is unreachable by any x
         self.unreachable_sq = float(np.sum(np.abs(zt[rank:]) ** 2))
@@ -492,11 +520,11 @@ class _DataStep:
         if self.budget_sq <= _FLOOR**2:  # checked first, so a tiny z is fit exactly too
             xt[: self.rank] = self.zt / self.s
             return self.V @ xt
-        r0_sq = np.abs(self.zt - self.s * xt[: self.rank]) ** 2
-        if float(r0_sq.sum()) <= self.budget_sq + _FLOOR:
+        r0 = self.zt - self.s * xt[: self.rank]
+        if r0.view(float).dot(r0.view(float)) <= self.budget_sq + _FLOOR:
             return x0
-        lam = self._secular_root(r0_sq)
-        xt[: self.rank] = (xt[: self.rank] + lam * self.s * self.zt) / (1.0 + lam * self.s_sq)
+        lam = self._secular_root(np.abs(r0) ** 2)
+        xt[: self.rank] = (xt[: self.rank] + lam * self.sz_full[: self.rank]) / (1.0 + lam * self.s_sq)
         return self.V @ xt
 
     def _secular_root(self, r0_sq: np.ndarray) -> float:
@@ -508,31 +536,29 @@ class _DataStep:
         without passing it. It starts at the previous projection's root; a
         step from the right of the root can overshoot to the left, and one
         that lands below the largest multiplier known to leave the residual
-        outside the ball is moved up to it. The iteration stops when the
-        secular residual is within a few ulps of the budget or the
-        multiplier stops changing, and falls back to a bracketed brentq
-        search after _NEWTON_STEPS steps.
+        outside the ball is moved up to it. The iteration stops after a step
+        of at most _NEWTON_STOP times the multiplier: convergence is
+        quadratic, so the multiplier that step lands on is good to about the
+        square of that. It falls back to a bracketed brentq search after
+        _NEWTON_STEPS steps.
         """
-        s_sq, budget = self.s_sq, self.budget_sq
+        u, budget = self.u, self.budget_sq
         target = 1.0 / math.sqrt(budget)
         self.root_solves += 1
+        rs_sq = r0_sq * self.s_sq
         lo = 0.0  # the residual at lam = 0 lies outside the ball
         lam = self.lam
         for _ in range(_NEWTON_STEPS):
-            w = 1.0 + lam * s_sq
-            terms = r0_sq / (w * w)
-            n_sq = float(terms.sum())
+            inverse = u / (u + lam)
+            power = inverse * inverse
+            n_sq = float(r0_sq.dot(power))
             self.secular_evaluations += 1
-            if abs(n_sq - budget) <= 4.0 * _EPS * budget:
-                break
             if n_sq > budget:
                 lo = lam  # no step goes below lo, so this lam is the largest such
-            slope = float(terms.dot(s_sq / w))
-            step = n_sq * (math.sqrt(n_sq) * target - 1.0) / slope
-            new = max(lam + step, lo)
-            settled = abs(new - lam) <= 4.0 * _EPS * lam
-            lam = new
-            if settled:
+            power *= inverse
+            step = n_sq * (math.sqrt(n_sq) * target - 1.0) / float(rs_sq.dot(power))
+            lam, last = max(lam + step, lo), lam
+            if abs(lam - last) <= _NEWTON_STOP * last:
                 break
         else:
             lam = self._bracketed_root(r0_sq)
@@ -628,11 +654,10 @@ def _structure_step(v, rho, structure, data, weight):
     One class average projects both diagonal blocks, the border goes through
     the data coupling, and the trace term shifts the diagonal by weight / (2 rho).
     """
-    n, ids, counts, re, im = structure
+    n, ids, counts, border, scales = structure
     q = (np.bincount(ids, weights=v) / counts)[ids]
-    x = data.couple((v[re] - 1j * v[im]) / _SQRT2, rho)
-    q[re] = _SQRT2 * x.real
-    q[im] = -_SQRT2 * x.imag
+    x = data.couple((v[border] * scales).view(complex), rho)
+    q[border] = x.view(float) / scales
     q[:n] -= weight / (2.0 * rho)
     return q
 
@@ -657,7 +682,7 @@ class _Anderson:
 
     def __init__(self, size: int):
         m = _ANDERSON_MEMORY
-        self.dF = np.empty((m, size))
+        self.dF = np.empty((m + 1, size))  # and after the differences the last residual
         self.dG = np.empty((m, size))
         self.gram = np.empty((m, m))
         self.accepted = self.rejected = 0
@@ -671,24 +696,25 @@ class _Anderson:
     def step(self, g: np.ndarray, f: np.ndarray):
         """Extrapolated next point from image g and residual f, or None to take g.
 
-        Keeps g and f themselves, not copies, until the next step, so the
-        caller must not change them in place.
+        Keeps g itself, not a copy, until the next step, so the caller must
+        not change it in place.
         """
         if self.primed:
             j = self.slot
-            np.subtract(f, self.f, out=self.dF[j])
+            np.subtract(f, self.dF[-1], out=self.dF[j])
             np.subtract(g, self.g, out=self.dG[j])
             self.slot = (j + 1) % _ANDERSON_MEMORY
-            self.filled = c = min(self.filled + 1, _ANDERSON_MEMORY)
-            column = self.dF[:c] @ self.dF[j]
-            column[j] *= 1.0 + _ANDERSON_REGULARIZATION
-            self.gram[j, :c] = self.gram[:c, j] = column
-        self.f, self.g = f, g
+            self.filled = min(self.filled + 1, _ANDERSON_MEMORY)
+        self.dF[-1], self.g = f, g
         self.primed = True
         c = self.filled
         if not c:
             return None
-        gamma = _anderson_weights(self.gram[:c, :c], self.dF[:c] @ f)
+        # rows j and -1 of dF against the differences: the new Gram column and dF f
+        products = self.dF[j :: _ANDERSON_MEMORY - j] @ self.dF[:c].T
+        products[0, j] *= 1.0 + _ANDERSON_REGULARIZATION
+        self.gram[j, :c] = self.gram[:c, j] = products[0]
+        gamma = _anderson_weights(self.gram[:c, :c], products[1])
         # summed in Python, which is quicker on a few entries; NaN is refused too
         if gamma is None or not sum(map(abs, gamma.tolist())) <= _ANDERSON_CAP:
             self.refuse()
@@ -719,21 +745,25 @@ def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
     W, Z, dual = np.zeros((3, structure[0] ** 2))
     rho = min(max(data.rho0, 1e-8), 1e8)
     anderson = _Anderson(W.size)
+    psd = _PsdBuffer(structure[0])
     fallback = None  # (plain image, Z, dual) of the point W was extrapolated from
     with _one_blas_thread():
         for it in range(1, config.max_iterations + 1):
             Z_prev, dual_prev = Z, dual
-            Z = project_psd(W)
+            Z = project_psd(W, psd)
             dual = W - Z
             Q = _structure_step(Z - dual, rho, structure, data, weight)
             R = Q - Z
             r_pri = _norm(R)
-            r_cons = _norm(dual - dual_prev)  # the primal residual of a plain ADMM step
-            r_dual = rho * _norm(Z - Z_prev)
-            limit_pri = config.tolerance * max(_norm(Q), _norm(Z), _FLOOR)
-            limit_dual = config.tolerance * max(rho * _norm(dual), _FLOOR)
-            if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
-                break
+            # ||Q||, ||Z|| <= ||W|| + r_pri; the rest waits for near, a rho update or the end
+            near = r_pri <= 2.0 * config.tolerance * max(_norm(W) + r_pri, _FLOOR)
+            if near or it % _ADAPT_EVERY == 0 or it == config.max_iterations:
+                r_cons = _norm(dual - dual_prev)  # the primal residual of a plain ADMM step
+                r_dual = rho * _norm(Z - Z_prev)
+                limit_pri = config.tolerance * max(_norm(Q), _norm(Z), _FLOOR)
+                limit_dual = config.tolerance * max(rho * _norm(dual), _FLOOR)
+                if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
+                    break
             if fallback is None:
                 reference = r_pri  # W is a plain image
             elif r_pri > reference:
@@ -827,6 +857,7 @@ def solve_full_anm(
         raise SizeCapError(f"MN = {mn} exceeds the full program's cap of {_FULL_SIZE_CAP}")
     if (x is None, z is None, G is None) not in ((False, True, True), (True, False, False)):
         raise ValueError("pass exactly one of x or the pair (z, G)")
+    scale = 1.0
     if x is None:
         data, weight = _coupling(config, z, G, noise_power, mn)
     else:
@@ -834,8 +865,11 @@ def solve_full_anm(
         if x.size != mn:
             raise ValueError(f"x must have {mn} entries")
         _require_finite(x=x)
-        data, weight = _DataStep(np.eye(mn), x, "noise-ball"), 1.0  # zero radius: exact fit
+        # the program is positively homogeneous: solve at ||x|| in [1/2, 1) and scale back
+        scale = math.ldexp(1.0, math.frexp(np.linalg.norm(x))[1])
+        data, weight = _DataStep(np.eye(mn), x / scale, "noise-ball"), 1.0  # zero radius: exact fit
     Q, diag = _solve(((M, N), (1, 1)), data, weight, config, "full")  # the scalar t last
+    Q, diag = scale * Q, replace(diag, trace_objective=scale * diag.trace_objective)
     return FullSdpVars(T=Q[:mn, :mn], t=float(Q[mn, mn].real), x=Q[:mn, mn], diagnostics=diag)
 
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq
 
@@ -203,6 +203,89 @@ class TestPsdProjection:
             solve_danm(np.ones(4), np.eye(4), geom, noise_power=0.0)
 
 
+def _with_positives(rng, side, positives):
+    """Random Hermitian matrix with the given count of positive eigenvalues."""
+    V, _ = np.linalg.qr(_rand_complex(rng, side, side))
+    lam = rng.uniform(0.01, 3.0, side) * np.where(np.arange(side) < positives, 1.0, -1.0)
+    return (V * lam) @ V.conj().T
+
+
+def _buffer(side, positives):
+    """A PSD projection buffer whose last projection kept the given count."""
+    buffer = anm._PsdBuffer(side)
+    buffer.positives = positives
+    return buffer
+
+
+def _noted(routines, name, routine, *args, **kwargs):
+    routines.append(name)
+    return routine(*args, **kwargs)
+
+
+def _record_eigensolvers(monkeypatch) -> list:
+    """Note the name of each LAPACK eigensolver the PSD projection calls, in order."""
+    routines = []
+    for name in ("zheevr", "zheevd"):
+        monkeypatch.setattr(anm, name, partial(_noted, routines, name, getattr(anm, name)))
+    return routines
+
+
+class TestEigensolverChoice:
+    @pytest.mark.parametrize("side", [4, 16, 32])
+    @pytest.mark.parametrize("positives", [0, 1, "half", "all"])
+    def test_both_eigensolvers_agree(self, monkeypatch, side, positives):
+        m = {"half": side // 2, "all": side}.get(positives, positives)
+        A = _with_positives(np.random.default_rng(side + m), side, m)
+        w = svec(A)
+        routines = _record_eigensolvers(monkeypatch)
+        partial_, full = project_psd(w, _buffer(side, 0)), project_psd(w, _buffer(side, side))
+        assert routines == ["zheevr", "zheevd"]
+        lam, W = np.linalg.eigh(A)
+        expected = svec((W * np.maximum(lam, 0.0)) @ W.conj().T)
+        for got in (partial_, full):
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(partial_ - full) <= 1e-12 * np.linalg.norm(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        side=st.integers(4, 16),
+        positives=st.integers(0, 16),
+        k=st.integers(-40, 40),
+        full=st.booleans(),
+    )
+    def test_power_of_two_scaling_is_exact(self, seed, side, positives, k, full):
+        # bit for bit, through either eigensolver; zheevr on the unscaled
+        # matrix broke this on about one random matrix in four
+        rng = np.random.default_rng(seed)
+        S = _rand_complex(rng, side, side)
+        w = svec(_with_positives(rng, side, min(positives, side)) + 0.1 * (S + S.conj().T))
+        last = side if full else 0
+        scaled = project_psd(2.0**k * w, _buffer(side, last))
+        assert np.array_equal(scaled, 2.0**k * project_psd(w, _buffer(side, last)))
+
+    def test_a_solve_picks_the_solver_from_the_last_positive_count(self, monkeypatch):
+        kept = []  # the positive count of the last projection, before each projection
+        projection = anm.project_psd
+        monkeypatch.setattr(anm, "project_psd", lambda w, buffer: kept.append(buffer.positives) or projection(w, buffer))
+        routines = _record_eigensolvers(monkeypatch)
+        geom = RisGeometry(3, 3)
+        G = build_code_schedule(12, 9, seed=1).codes
+        z = G @ (steering_vector(geom, 60.0, 10.0) + steering_vector(geom, 100.0, -20.0))
+        solve_danm(z, G, geom, noise_power=1e-2)
+        assert set(routines) == {"zheevr", "zheevd"}
+        assert routines == ["zheevd" if 3 * count >= 6 else "zheevr" for count in kept]  # side 6
+
+    def test_divide_and_conquer_failure_raises(self, monkeypatch):
+        def failing(H, **kwargs):
+            n = H.shape[0]
+            return np.zeros(n), np.zeros((n, n), complex), 2
+
+        monkeypatch.setattr(anm, "zheevd", failing)
+        with pytest.raises(DegenerateInputError, match=r"PSD projection: LAPACK zheevd failed with info = 2"):
+            project_psd(svec(np.eye(3)), _buffer(3, 3))
+
+
 def _hermitian_matrix(rng, side):
     A = _rand_complex(rng, side, side)
     return A + A.conj().T
@@ -281,9 +364,9 @@ class TestPackedForm:
         calls = []
         projection = anm.project_psd
 
-        def counted(w):
+        def counted(w, *rest):
             calls.append(w.size)
-            return projection(w)
+            return projection(w, *rest)
 
         monkeypatch.setattr(anm, "project_psd", counted)
         geom, G, z = _full_denoise_problem()
@@ -317,9 +400,9 @@ def _record_threads_in_projection(monkeypatch, controls) -> list:
     """Swap in a project_psd that notes the pools' thread counts on each call."""
     seen = []
 
-    def stand_in(A):
+    def stand_in(A, *rest):
         seen.append(_thread_counts(controls))
-        return project_psd(A)
+        return project_psd(A, *rest)
 
     monkeypatch.setattr(anm, "project_psd", stand_in)
     return seen
@@ -555,7 +638,7 @@ class TestBallProjection:
         budget = snap.noise_power * snap.samples.size
         d = solve_danm(snap.samples, sched.codes, geom, noise_power=budget).diagnostics
         assert d.root_solves > d.iterations // 2
-        assert d.secular_evaluations <= 4 * d.root_solves
+        assert d.secular_evaluations <= 3 * d.root_solves
         assert d.brentq_fallbacks == 0
 
 
@@ -803,7 +886,7 @@ class TestFullSolver:
         x = _rand_complex(rng, 9)
         assert atomic_norm(2.0 * x, geom) == pytest.approx(2.0 * atomic_norm(x, geom), rel=1e-3)
 
-    @pytest.mark.parametrize("scale", [1e-4, 1e-7])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-7, 1e-8, 1e-12, 1e6])
     def test_homogeneity_holds_for_tiny_responses(self, scale):
         # a zero noise ball fits x exactly at every scale, however small ||x|| is
         geom = RisGeometry(3, 3)
@@ -1123,17 +1206,14 @@ class TestStepSizeStart:
         seed=st.integers(0, 2**16),
         k=st.integers(-6, 6),
     )
+    @example(shape=(4, 4), program="full", seed=6912, k=-3)  # took 388 and 444 iterations once
     def test_scaled_data_scales_the_solution(self, shape, program, seed, k):
         # z -> 2^k z and noise_power -> 4^k noise_power scale the trace weight
         # by 2^k, leave G and the ratio ||z|| / sqrt(noise_power) alone, so
-        # no absolute scale may enter the solve. It is not bit for bit:
-        # zheevr's projection of 2^k w differs from 2^k times that of w in
-        # its last bits on about one random matrix in five, and the stop test
-        # turns that into a few iterations more or less (at most 6.2% of the
-        # count over 300 random examples; up to 18% on a slow 4 x 4 solve
-        # that started at rho = 1) and a solution that moves by up to the
-        # tolerance. A rho start that grew with ||z|| alone failed 76 of 100
-        # random examples.
+        # no absolute scale may enter the solve. The PSD projection scales
+        # exactly by powers of two, and so does every other step, so the
+        # solve is bit for bit 2^k times the unscaled one. A rho start that
+        # grew with ||z|| alone failed 76 of 100 random examples.
         geom = RisGeometry(*shape)
         mn = geom.n_elements
         rng = np.random.default_rng(seed)
@@ -1150,10 +1230,8 @@ class TestStepSizeStart:
             return solve_full_anm(geom, config, z=z, G=G, noise_power=noise_power)
 
         base, scaled = solve(1.0), solve(2.0**k)
-        iterations = base.diagnostics.iterations
-        assert abs(scaled.diagnostics.iterations - iterations) <= 0.1 * iterations
-        A, B = _bordered(scaled), 2.0**k * _bordered(base)
-        assert np.linalg.norm(A - B) <= 10.0 * config.tolerance * np.linalg.norm(B)
+        assert scaled.diagnostics.iterations == base.diagnostics.iterations
+        assert np.array_equal(_bordered(scaled), 2.0**k * _bordered(base))
 
 
 def _pinned_solves():
@@ -1214,9 +1292,9 @@ def pinned_solves():
 
 # one digest per mode, so a change to one coupling shows which pins it moved
 _PINNED_DIGESTS = {
-    "noise-ball": "232e03b1e196dc320533c8f205cfe5cf8571b03204318cde51f3af4aec7ccf0e",
-    "regularized": "e189948d6e7cd60229c39fba7c1f1dab14213bf13254d1e061d17ee3ce39ce8f",
-    "atomic": "231375946a21f8248c28e7e6a559f0e82434c9395cdd1cd5b510c44ad257e944",
+    "noise-ball": "9ef274475c5229f75120bb9c4b79882a6aff215935edd5a9d748725e207fb890",
+    "regularized": "34c6c7dacdedc025a55eb9f907ac13187024990a304d02b145ed9b90f8fea23d",
+    "atomic": "c4301a75506bea0bd9f3aa2d0c059680146c3cf13541e5f2cd9fd7665696b0a3",
 }
 
 
