@@ -244,7 +244,9 @@ def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
     zero at m = 0. LAPACK sees W / 2^k with ||W / 2^k||^2 in [1/2, 2), so the
     result for 2^j w is exactly 2^j times that for w. zheevr finds only the
     m pairs, to a tolerance of 1e-12 ||W|| / sqrt(side), so their m errors
-    move the result by at most 5e-13 ||W||; zheevd finds all once the last
+    move the result by at most 5e-13 ||W||, and to LAPACK's own where
+    inverse iteration fails from that (a tridiagonal form that splits into
+    blocks of very different scale); zheevd finds all once the last
     projection through the same buffer kept a third of the side or more. A
     failed eigensolve raises DegenerateInputError.
     """
@@ -252,7 +254,8 @@ def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
     buffer = buffer or _PsdBuffer(math.isqrt(w.size))
     norm_sq = w.dot(w)
     k = math.frexp(norm_sq)[1] // 2
-    H = _lower(w * math.ldexp(1.0, -k), buffer.lower)  # LAPACK reads the lower triangle only
+    scaled = w * math.ldexp(1.0, -k)
+    H = _lower(scaled, buffer.lower)  # LAPACK reads the lower triangle only
     n = len(H)
     if 3 * buffer.positives >= n:
         ev, V, info = zheevd(H, lower=1, overwrite_a=1)
@@ -261,6 +264,8 @@ def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
     else:
         tol = 1e-12 * math.sqrt(math.ldexp(norm_sq, -2 * k) / n)
         ev, V, m, _, info = zheevr(H, range="V", lower=1, vl=0.0, vu=np.inf, abstol=tol, overwrite_a=1)
+        if info > 0:  # inverse iteration may not converge from that tolerance: LAPACK's own instead
+            ev, V, m, _, info = zheevr(_lower(scaled), range="V", lower=1, vl=0.0, vu=np.inf)
         name, ev, V = "zheevr", ev[:m], V[:, :m]
     if info != 0:
         raise DegenerateInputError(f"PSD projection: LAPACK {name} failed with info = {info}")

@@ -264,6 +264,25 @@ class TestEigensolverChoice:
         scaled = project_psd(2.0**k * w, _buffer(side, last))
         assert np.array_equal(scaled, 2.0**k * project_psd(w, _buffer(side, last)))
 
+    def test_blocks_of_very_different_scale(self):
+        # a Hermitian matrix made of such blocks, permuted, has a tridiagonal
+        # form that splits; zheevr's inverse iteration then fails to converge
+        # from the absolute tolerance on about one in twenty-five of these
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            side = int(rng.integers(4, 17))
+            split = int(rng.integers(1, side))
+            for small in (1e-2, 1e-3, 1e-5, 1e-8):
+                A = np.zeros((side, side), complex)
+                A[:split, :split] = _with_positives(rng, split, int(rng.integers(0, split + 1)))
+                lower = _with_positives(rng, side - split, int(rng.integers(0, side - split + 1)))
+                A[split:, split:] = small * lower
+                order = rng.permutation(side)
+                A = A[order][:, order]
+                lam, W = np.linalg.eigh(A)
+                expected = svec((W * np.maximum(lam, 0.0)) @ W.conj().T)
+                assert np.linalg.norm(project_psd(svec(A)) - expected) <= 1e-12 * np.linalg.norm(A)
+
     def test_a_solve_picks_the_solver_from_the_last_positive_count(self, monkeypatch):
         kept = []  # the positive count of the last projection, before each projection
         projection = anm.project_psd
