@@ -58,12 +58,9 @@ The PSD projection is most of a solve's cost. Near a sparse solution the
 iterate has few positive eigenvalues (Boyd et al. 2011, sec. 4.4), and the
 projection computes only those m eigenpairs, with LAPACK's zheevr over the
 interval (0, inf): bisection to an absolute tolerance of 1e-12 ||W|| /
-sqrt(side), then inverse iteration. That cost grows with m, so once the
-solve's last projection kept a third of the side or more, the next one
-takes the whole spectrum from the divide-and-conquer zheevd. LAPACK gets W
-divided by the power of two that brings ||W||^2 into [1/2, 2), and the
-eigenvalues are scaled back, so the projection of 2^j W is exactly 2^j
-times that of W.
+sqrt(side), then inverse iteration. LAPACK gets W divided by the power of
+two that brings ||W||^2 into [1/2, 2), and the eigenvalues are scaled back,
+so the projection of 2^j W is exactly 2^j times that of W.
 
 zheevr runs in scipy's OpenBLAS and the matrix products in numpy's; the two
 libraries keep separate thread pools, which under default threads
@@ -105,7 +102,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import dposv, zheevd, zheevr
+from scipy.linalg.lapack import dposv, zheevr
 from scipy.optimize import brentq
 
 from .errors import (
@@ -150,11 +147,11 @@ def _svec_layout(n: int):
     return offsets, scale
 
 
-def _lower(v: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-    """Column-major matrix with the packed v in its lower triangle: L, or zeros above it."""
+def _lower(v: np.ndarray) -> np.ndarray:
+    """Column-major matrix with the packed v in its lower triangle and zeros above."""
     n = math.isqrt(v.size)
     offsets, scale = _svec_layout(n)
-    L = np.zeros((n, n), dtype=complex, order="F") if L is None else L
+    L = np.zeros((n, n), dtype=complex, order="F")
     _real(L.T)[offsets] = v / scale
     return L
 
@@ -205,7 +202,8 @@ def _structure(grids: tuple):
     re = where[k:, :k].T.ravel()  # the lower-left block holds conj(x)
     border = np.stack([re, re + r.size], axis=1).ravel()
     scales = np.tile([1.0, -1.0], re.size) / _SQRT2
-    ids.flags.writeable = counts.flags.writeable = border.flags.writeable = scales.flags.writeable = False
+    for array in (ids, counts, border, scales):
+        array.flags.writeable = False
     return n, ids, counts, border, scales
 
 
@@ -229,15 +227,7 @@ def project_block_toeplitz(A: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return smat((np.bincount(ids, weights=svec(A)) / counts)[ids])
 
 
-class _PsdBuffer:
-    """One solve's eigensolve input, column-major, and the last projection's positive count."""
-
-    def __init__(self, n: int):
-        self.lower = np.zeros((n, n), dtype=complex, order="F")
-        self.positives = 0
-
-
-def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
+def project_psd(w: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix, packed in and out (svec).
 
     Keeps the m eigenpairs with positive eigenvalue: V_m diag(w_m) V_m^H, or
@@ -246,33 +236,24 @@ def project_psd(w: np.ndarray, buffer: _PsdBuffer | None = None) -> np.ndarray:
     m pairs, to a tolerance of 1e-12 ||W|| / sqrt(side), so their m errors
     move the result by at most 5e-13 ||W||, and to LAPACK's own where
     inverse iteration fails from that (a tridiagonal form that splits into
-    blocks of very different scale); zheevd finds all once the last
-    projection through the same buffer kept a third of the side or more. A
-    failed eigensolve raises DegenerateInputError.
+    blocks of very different scale). A failed eigensolve raises
+    DegenerateInputError.
     """
     w = np.asarray(w, dtype=float)
-    buffer = buffer or _PsdBuffer(math.isqrt(w.size))
     norm_sq = w.dot(w)
     k = math.frexp(norm_sq)[1] // 2
     scaled = w * math.ldexp(1.0, -k)
-    H = _lower(scaled, buffer.lower)  # LAPACK reads the lower triangle only
-    n = len(H)
-    if 3 * buffer.positives >= n:
-        ev, V, info = zheevd(H, lower=1, overwrite_a=1)
-        first = int(np.searchsorted(ev, 0.0, side="right"))  # ascending: the positive pairs last
-        name, ev, V = "zheevd", ev[first:], V[:, first:]
-    else:
-        tol = 1e-12 * math.sqrt(math.ldexp(norm_sq, -2 * k) / n)
-        ev, V, m, _, info = zheevr(H, range="V", lower=1, vl=0.0, vu=np.inf, abstol=tol, overwrite_a=1)
-        if info > 0:  # inverse iteration may not converge from that tolerance: LAPACK's own instead
-            ev, V, m, _, info = zheevr(_lower(scaled), range="V", lower=1, vl=0.0, vu=np.inf)
-        name, ev, V = "zheevr", ev[:m], V[:, :m]
+    n = math.isqrt(w.size)
+    tol = 1e-12 * math.sqrt(math.ldexp(norm_sq, -2 * k) / n)
+    positive = dict(range="V", lower=1, vl=0.0, vu=np.inf, overwrite_a=1)
+    ev, V, m, _, info = zheevr(_lower(scaled), abstol=tol, **positive)
+    if info > 0:  # inverse iteration may not converge from that tolerance: LAPACK's own instead
+        ev, V, m, _, info = zheevr(_lower(scaled), **positive)
     if info != 0:
-        raise DegenerateInputError(f"PSD projection: LAPACK {name} failed with info = {info}")
-    buffer.positives = ev.size
+        raise DegenerateInputError(f"PSD projection: LAPACK zheevr failed with info = {info}")
     offsets, scale = _svec_layout(n)
-    # the lower triangle of 2^k V_m diag(w_m) V_m^H, column-major like H
-    Z = zherk(math.ldexp(1.0, k), V * np.sqrt(ev, dtype=complex), lower=1)
+    # the lower triangle of 2^k V_m diag(w_m) V_m^H, column-major like the input
+    Z = zherk(math.ldexp(1.0, k), V[:, :m] * np.sqrt(ev[:m], dtype=complex), lower=1)
     return _real(Z.T)[offsets] * scale
 
 
@@ -750,25 +731,21 @@ def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
     W, Z, dual = np.zeros((3, structure[0] ** 2))
     rho = min(max(data.rho0, 1e-8), 1e8)
     anderson = _Anderson(W.size)
-    psd = _PsdBuffer(structure[0])
     fallback = None  # (plain image, Z, dual) of the point W was extrapolated from
     with _one_blas_thread():
         for it in range(1, config.max_iterations + 1):
             Z_prev, dual_prev = Z, dual
-            Z = project_psd(W, psd)
+            Z = project_psd(W)
             dual = W - Z
             Q = _structure_step(Z - dual, rho, structure, data, weight)
             R = Q - Z
             r_pri = _norm(R)
-            # ||Q||, ||Z|| <= ||W|| + r_pri; the rest waits for near, a rho update or the end
-            near = r_pri <= 2.0 * config.tolerance * max(_norm(W) + r_pri, _FLOOR)
-            if near or it % _ADAPT_EVERY == 0 or it == config.max_iterations:
-                r_cons = _norm(dual - dual_prev)  # the primal residual of a plain ADMM step
-                r_dual = rho * _norm(Z - Z_prev)
-                limit_pri = config.tolerance * max(_norm(Q), _norm(Z), _FLOOR)
-                limit_dual = config.tolerance * max(rho * _norm(dual), _FLOOR)
-                if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
-                    break
+            r_cons = _norm(dual - dual_prev)  # the primal residual of a plain ADMM step
+            r_dual = rho * _norm(Z - Z_prev)
+            limit_pri = config.tolerance * max(_norm(Q), _norm(Z), _FLOOR)
+            limit_dual = config.tolerance * max(rho * _norm(dual), _FLOOR)
+            if r_pri <= limit_pri and r_cons <= limit_pri and r_dual <= limit_dual:
+                break
             if fallback is None:
                 reference = r_pri  # W is a plain image
             elif r_pri > reference:

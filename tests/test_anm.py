@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, zheevr
 from scipy.optimize import brentq
 
 from risdoa import anm
@@ -210,41 +210,19 @@ def _with_positives(rng, side, positives):
     return (V * lam) @ V.conj().T
 
 
-def _buffer(side, positives):
-    """A PSD projection buffer whose last projection kept the given count."""
-    buffer = anm._PsdBuffer(side)
-    buffer.positives = positives
-    return buffer
+def _psd_reference(A):
+    lam, W = np.linalg.eigh(A)
+    return svec((W * np.maximum(lam, 0.0)) @ W.conj().T)
 
 
-def _noted(routines, name, routine, *args, **kwargs):
-    routines.append(name)
-    return routine(*args, **kwargs)
-
-
-def _record_eigensolvers(monkeypatch) -> list:
-    """Note the name of each LAPACK eigensolver the PSD projection calls, in order."""
-    routines = []
-    for name in ("zheevr", "zheevd"):
-        monkeypatch.setattr(anm, name, partial(_noted, routines, name, getattr(anm, name)))
-    return routines
-
-
-class TestEigensolverChoice:
+class TestPartialEigensolve:
     @pytest.mark.parametrize("side", [4, 16, 32])
     @pytest.mark.parametrize("positives", [0, 1, "half", "all"])
-    def test_both_eigensolvers_agree(self, monkeypatch, side, positives):
+    def test_matches_a_full_eigendecomposition(self, side, positives):
         m = {"half": side // 2, "all": side}.get(positives, positives)
         A = _with_positives(np.random.default_rng(side + m), side, m)
         w = svec(A)
-        routines = _record_eigensolvers(monkeypatch)
-        partial_, full = project_psd(w, _buffer(side, 0)), project_psd(w, _buffer(side, side))
-        assert routines == ["zheevr", "zheevd"]
-        lam, W = np.linalg.eigh(A)
-        expected = svec((W * np.maximum(lam, 0.0)) @ W.conj().T)
-        for got in (partial_, full):
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(w)
-        assert np.linalg.norm(partial_ - full) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(project_psd(w) - _psd_reference(A)) <= 1e-12 * np.linalg.norm(w)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -252,17 +230,14 @@ class TestEigensolverChoice:
         side=st.integers(4, 16),
         positives=st.integers(0, 16),
         k=st.integers(-40, 40),
-        full=st.booleans(),
     )
-    def test_power_of_two_scaling_is_exact(self, seed, side, positives, k, full):
-        # bit for bit, through either eigensolver; zheevr on the unscaled
-        # matrix broke this on about one random matrix in four
+    def test_power_of_two_scaling_is_exact(self, seed, side, positives, k):
+        # bit for bit; zheevr on the unscaled matrix broke this on about one
+        # random matrix in four
         rng = np.random.default_rng(seed)
         S = _rand_complex(rng, side, side)
         w = svec(_with_positives(rng, side, min(positives, side)) + 0.1 * (S + S.conj().T))
-        last = side if full else 0
-        scaled = project_psd(2.0**k * w, _buffer(side, last))
-        assert np.array_equal(scaled, 2.0**k * project_psd(w, _buffer(side, last)))
+        assert np.array_equal(project_psd(2.0**k * w), 2.0**k * project_psd(w))
 
     def test_blocks_of_very_different_scale(self):
         # a Hermitian matrix made of such blocks, permuted, has a tridiagonal
@@ -279,30 +254,22 @@ class TestEigensolverChoice:
                 A[split:, split:] = small * lower
                 order = rng.permutation(side)
                 A = A[order][:, order]
-                lam, W = np.linalg.eigh(A)
-                expected = svec((W * np.maximum(lam, 0.0)) @ W.conj().T)
-                assert np.linalg.norm(project_psd(svec(A)) - expected) <= 1e-12 * np.linalg.norm(A)
+                assert np.linalg.norm(project_psd(svec(A)) - _psd_reference(A)) <= 1e-12 * np.linalg.norm(A)
 
-    def test_a_solve_picks_the_solver_from_the_last_positive_count(self, monkeypatch):
-        kept = []  # the positive count of the last projection, before each projection
-        projection = anm.project_psd
-        monkeypatch.setattr(anm, "project_psd", lambda w, buffer: kept.append(buffer.positives) or projection(w, buffer))
-        routines = _record_eigensolvers(monkeypatch)
-        geom = RisGeometry(3, 3)
-        G = build_code_schedule(12, 9, seed=1).codes
-        z = G @ (steering_vector(geom, 60.0, 10.0) + steering_vector(geom, 100.0, -20.0))
-        solve_danm(z, G, geom, noise_power=1e-2)
-        assert set(routines) == {"zheevr", "zheevd"}
-        assert routines == ["zheevd" if 3 * count >= 6 else "zheevr" for count in kept]  # side 6
+    def test_a_failure_at_the_absolute_tolerance_retries_at_lapacks_own(self, monkeypatch):
+        tolerances = []
 
-    def test_divide_and_conquer_failure_raises(self, monkeypatch):
-        def failing(H, **kwargs):
-            n = H.shape[0]
-            return np.zeros(n), np.zeros((n, n), complex), 2
+        def fails_with_abstol(H, **kwargs):
+            tolerances.append(kwargs.get("abstol"))
+            if "abstol" in kwargs:
+                n = H.shape[0]
+                return np.zeros(n), np.zeros((n, n), complex), 0, np.zeros(2 * n, np.int32), 3
+            return zheevr(H, **kwargs)
 
-        monkeypatch.setattr(anm, "zheevd", failing)
-        with pytest.raises(DegenerateInputError, match=r"PSD projection: LAPACK zheevd failed with info = 2"):
-            project_psd(svec(np.eye(3)), _buffer(3, 3))
+        monkeypatch.setattr(anm, "zheevr", fails_with_abstol)
+        A = _with_positives(np.random.default_rng(2), 6, 3)
+        assert np.linalg.norm(project_psd(svec(A)) - _psd_reference(A)) <= 1e-12 * np.linalg.norm(A)
+        assert len(tolerances) == 2 and tolerances[0] > 0.0 and tolerances[1] is None
 
 
 def _hermitian_matrix(rng, side):
@@ -383,9 +350,9 @@ class TestPackedForm:
         calls = []
         projection = anm.project_psd
 
-        def counted(w, *rest):
+        def counted(w):
             calls.append(w.size)
-            return projection(w, *rest)
+            return projection(w)
 
         monkeypatch.setattr(anm, "project_psd", counted)
         geom, G, z = _full_denoise_problem()
@@ -419,9 +386,9 @@ def _record_threads_in_projection(monkeypatch, controls) -> list:
     """Swap in a project_psd that notes the pools' thread counts on each call."""
     seen = []
 
-    def stand_in(A, *rest):
+    def stand_in(A):
         seen.append(_thread_counts(controls))
-        return project_psd(A, *rest)
+        return project_psd(A)
 
     monkeypatch.setattr(anm, "project_psd", stand_in)
     return seen
@@ -1311,8 +1278,8 @@ def pinned_solves():
 
 # one digest per mode, so a change to one coupling shows which pins it moved
 _PINNED_DIGESTS = {
-    "noise-ball": "9ef274475c5229f75120bb9c4b79882a6aff215935edd5a9d748725e207fb890",
-    "regularized": "34c6c7dacdedc025a55eb9f907ac13187024990a304d02b145ed9b90f8fea23d",
+    "noise-ball": "c22cc01d6eaa4b39621fb9be8fb8e1d088fc4d182cb406b29f6525350bf2d718",
+    "regularized": "5e2709ec216e7d89e7a4856a2b10810e2c98dbfb1e566a4749b854e59e7ad6ec",
     "atomic": "c4301a75506bea0bd9f3aa2d0c059680146c3cf13541e5f2cd9fd7665696b0a3",
 }
 
