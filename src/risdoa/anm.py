@@ -422,6 +422,9 @@ _NEWTON_STEPS = 30
 _NEWTON_STOP = 1e-7
 
 
+_LAST_SVD: list = [None, None]  # (shape, bytes) of the last code_svd argument, its factors
+
+
 @lru_cache(maxsize=4)
 def _svd_of(shape: tuple, data: bytes):
     with _one_blas_thread():
@@ -441,10 +444,14 @@ def code_svd(G: np.ndarray):
     a solve, so the factors have the same bits under any thread setting.
     A benchmark run solves many snapshots against one code matrix, so the
     result is cached by G's contents: a matrix with the same shape and
-    bytes reuses it, and any change to an entry misses the cache.
+    bytes reuses it, and any change to an entry misses the cache. The last
+    G is compared first, which spares hashing its bytes on a repeat.
     """
     G = np.ascontiguousarray(G, dtype=complex)
-    return _svd_of(G.shape, G.tobytes())
+    key = (G.shape, G.tobytes())
+    if key != _LAST_SVD[0]:
+        _LAST_SVD[:] = key, _svd_of(*key)
+    return _LAST_SVD[1]
 
 
 class _DataStep:

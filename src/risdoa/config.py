@@ -160,6 +160,11 @@ def _is_level(value) -> bool:
     return _is_real(value) and not math.isnan(value) and value != -math.inf
 
 
+def snr_index(snr_db: float) -> int:
+    """An SNR's integer in a bench cell's noise seed: its rounded millidecibels, 0 for +inf."""
+    return int(round(snr_db * 1000.0)) if math.isfinite(snr_db) else 0
+
+
 @dataclass(frozen=True)
 class PlanConfig:
     """One benchmark run: methods x SNR sweep x trials."""
@@ -184,6 +189,10 @@ class PlanConfig:
             # a repeated method or SNR would run and summarize its cells twice
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat an entry, got {values}")
+        # two SNRs in one millidecibel would draw the same noise in every trial
+        finite = [snr_index(v) for v in self.snr_list if math.isfinite(v)]
+        if len(set(finite)) != len(finite):
+            raise ConfigError(f"snr_list entries must round to distinct 0.001 dB, got {self.snr_list}")
 
 
 def desk_scenario(**overrides) -> ScenarioConfig:

@@ -1,11 +1,12 @@
 """Experiment drivers: snapshot generation, reconstruction training, the
 benchmark sweep, and result comparison.
 
-The benchmark synthesizes one snapshot per (SNR, trial) cell and feeds the
-same data to every requested method, so per-method differences are purely
-algorithmic. Scenario draws (sources, hardware) depend only on the trial
-index, noise depends on the SNR cell, and wall-clock timing is kept out of
-the deterministic result files.
+The benchmark's unit of work is the trial: it draws its sources and
+hardware and their clean signal once, and each of its SNR cells adds its
+own noise and feeds that snapshot to every requested method, so
+per-method differences are purely algorithmic. Workers split the trials,
+so a plan with fewer trials than workers runs partly serial. Wall-clock
+timing is kept out of the deterministic result files.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from .config import (
     ScenarioConfig,
     TrainSettings,
     scenario_hash,
+    snr_index,
 )
 from .errors import ConfigError, RisDoaError
 from .extraction import estimate_doa, estimate_from_full
-from .model import synthesize_ideal, synthesize_impaired, write_snapshot
+from .model import clean_impaired, received, synthesize_ideal, synthesize_impaired, write_snapshot
 from .network import (
     generate_dataset,
     load_model,
@@ -244,45 +246,39 @@ def _estimate(method: str, snap, recon, sources):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _run_cell(task):
-    """All methods on one (snr, trial) snapshot. Returns a list of TrialRecord."""
-    snr_db, trial = task
+def _run_trial(trial):
+    """All methods on every SNR cell of one trial, whose scene and clean signal are drawn once."""
     ctx = _CTX
     scenario: ScenarioConfig = ctx["scenario"]
     plan: PlanConfig = ctx["plan"]
     trial_seed = child_seed(plan.seed, 0, trial)
     sources = scenario.draw_sources(child_seed(trial_seed, STREAM_SOURCES))
     impairments = scenario.draw_impairments(child_seed(trial_seed, STREAM_IMPAIRMENTS))
-    # +inf draws no noise, so its cell index is arbitrary but must be an integer
-    snr_index = int(round(snr_db * 1000.0)) if math.isfinite(snr_db) else 0
-    noise_seed = child_seed(plan.seed, 1, snr_index, trial)
-    snap = synthesize_impaired(
-        scenario.geometry, ctx["schedule"], impairments, sources, snr_db, noise_seed
-    )
-    recon = None
-    if ctx["params"] is not None:
-        recon = reconstruct(ctx["params"], snap.samples)
+    clean = clean_impaired(scenario.geometry, ctx["schedule"], impairments, sources)
+    clean.flags.writeable = False  # a noiseless cell's samples are this array
     true_el = tuple(float(v) for v in sources.elevations_deg)
     true_az = tuple(float(v) for v in sources.azimuths_deg)
-    count = sources.count
     records = []
-    for method in plan.methods:
-        els, azs, sq, error, iterations = (), (), None, "", None
-        start = time.perf_counter()
-        try:
-            result, iterations = _estimate(method, snap, recon, sources)
-        except (RisDoaError, ValueError, np.linalg.LinAlgError) as err:
-            error = f"{type(err).__name__}: {err}"
-        seconds = time.perf_counter() - start
-        if not error and method == "crb":
-            # store so that pooling with the common formula gives the RMS bound
-            sq = 2.0 * count * float(result) ** 2
-        elif not error:
-            sq = matched_squared_error(*result, true_el, true_az)
-            els, azs = (tuple(float(v) for v in a) for a in result)
-        records.append(
-            TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error, iterations)
-        )
+    for snr_db in plan.snr_list:
+        snap = received(clean, snr_db, child_seed(plan.seed, 1, snr_index(snr_db), trial))
+        recon = None if ctx["params"] is None else reconstruct(ctx["params"], snap.samples)
+        for method in plan.methods:
+            els, azs, sq, error, iterations = (), (), None, "", None
+            start = time.perf_counter()
+            try:
+                result, iterations = _estimate(method, snap, recon, sources)
+            except (RisDoaError, ValueError, np.linalg.LinAlgError) as err:
+                error = f"{type(err).__name__}: {err}"
+            seconds = time.perf_counter() - start
+            if not error and method == "crb":
+                # store so that pooling with the common formula gives the RMS bound
+                sq = 2.0 * sources.count * float(result) ** 2
+            elif not error:
+                sq = matched_squared_error(*result, true_el, true_az)
+                els, azs = (tuple(float(v) for v in a) for a in result)
+            records.append(
+                TrialRecord(method, snr_db, trial, true_el, true_az, els, azs, sq, seconds, error, iterations)
+            )
     return records
 
 
@@ -310,17 +306,16 @@ def run_bench(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(snr, trial) for snr in plan.snr_list for trial in range(plan.trials)]
     if plan.workers > 1:
         with ProcessPoolExecutor(
             max_workers=plan.workers,
             initializer=_init_worker,
             initargs=(scenario, plan, params),
         ) as pool:
-            chunks = list(pool.map(_run_cell, tasks, chunksize=4))
+            chunks = list(pool.map(_run_trial, range(plan.trials)))
     else:
         _init_worker(scenario, plan, params)
-        chunks = [_run_cell(task) for task in tasks]
+        chunks = [_run_trial(trial) for trial in range(plan.trials)]
 
     records = [record for chunk in chunks for record in chunk]
     method_rank = {name: i for i, name in enumerate(plan.methods)}

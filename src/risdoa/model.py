@@ -332,22 +332,26 @@ def synthesize_impaired(
     snr_db: float,
     seed: int,
 ) -> Snapshot:
-    """Simulate one snapshot of the practical surface.
+    """Simulate one snapshot of the practical surface: received(clean_impaired(...))."""
+    return received(clean_impaired(geom, schedule, impairments, sources), snr_db, seed)
+
+
+def clean_impaired(
+    geom: RisGeometry, schedule: CodeSchedule, impairments: ImpairmentModel, sources: SourceSet
+) -> np.ndarray:
+    """Noiseless samples of the practical surface, one per code configuration.
 
     The incident field per element is A s, coupling mixes it, and each
-    sample sums the realized per-element reflections. Noise is added at the
-    receiver with per-sample variance set from the clean signal power and
-    the requested SNR in dB (inf disables noise).
+    sample sums the realized per-element reflections.
     """
     if schedule.element_count != geom.n_elements:
         raise ValueError("schedule width does not match the element count")
     incident = steering_matrix(geom, sources) @ sources.amplitudes
-    clean = impairments.effective_codes(schedule) @ (impairments.coupling @ incident)
-    return _received(clean, snr_db, seed)
+    return impairments.effective_codes(schedule) @ (impairments.coupling @ incident)
 
 
-def _received(clean: np.ndarray, snr_db: float, seed: int) -> Snapshot:
-    """Add the receiver noise of the requested SNR to a clean sample vector."""
+def received(clean: np.ndarray, snr_db: float, seed: int) -> Snapshot:
+    """Add receiver noise at the SNR in dB to clean samples; at +inf the samples are `clean` itself."""
     noise_power = _noise_power_for(clean, snr_db)
     rng = np.random.default_rng(seed)
     if noise_power > 0.0:
@@ -374,7 +378,7 @@ def synthesize_ideal(
     if schedule.element_count != geom.n_elements:
         raise ValueError("schedule width does not match the element count")
     incident = steering_matrix(geom, sources) @ sources.amplitudes
-    return _received(schedule.codes @ incident, snr_db, seed)
+    return received(schedule.codes @ incident, snr_db, seed)
 
 
 def sample_sources(spec, seed: int) -> SourceSet:

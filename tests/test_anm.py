@@ -632,8 +632,14 @@ class TestCodeSvdCache:
         vars = solve_danm(z, G, self.GEOM, noise_power=budget)
         return vars.T_x.tobytes() + vars.T_y.tobytes() + vars.X.tobytes()
 
+    @staticmethod
+    def _clear():
+        # the caches are the only state a solve leaves behind
+        anm._svd_of.cache_clear()
+        anm._LAST_SVD[:] = None, None
+
     def _fresh(self, G, z, budget):
-        anm._svd_of.cache_clear()  # the cache is the only state a solve leaves behind
+        self._clear()
         return self._solve(G, z, budget)
 
     def test_interleaved_codes_solve_as_in_a_fresh_process(self):
@@ -641,7 +647,7 @@ class TestCodeSvdCache:
         G2 = build_code_schedule(12, 9, seed=2).codes
         cases = [(G1, *self._observation(G1, 1)), (G2, *self._observation(G2, 2))]
         fresh = [self._fresh(*case) for case in cases]
-        anm._svd_of.cache_clear()
+        self._clear()
         for k in (0, 1, 0):
             assert self._solve(*cases[k]) == fresh[k]
         info = anm._svd_of.cache_info()
@@ -649,13 +655,29 @@ class TestCodeSvdCache:
 
     def test_changed_entry_misses_the_cache(self):
         G = build_code_schedule(12, 9, seed=3).codes.copy()
-        anm._svd_of.cache_clear()
+        self._clear()
         self._solve(G, *self._observation(G, 3))
         G[5, 4] = -G[5, 4]  # same array and shape, new contents
         z, budget = self._observation(G, 3)
         got = self._solve(G, z, budget)
         assert anm._svd_of.cache_info().misses == 2
         assert got == self._fresh(G.copy(), z, budget)
+
+    def test_last_matrix_is_compared_by_its_bytes(self):
+        G = build_code_schedule(12, 9, seed=5).codes
+        self._clear()
+        first = anm.code_svd(G)
+        assert anm.code_svd(G.copy()) is first  # a new array with the same bytes
+        info = anm._svd_of.cache_info()
+        assert (info.hits, info.misses) == (0, 1)  # answered before the hashed cache
+        changed = G.copy()
+        changed[7, 2] = -changed[7, 2]
+        got = anm.code_svd(changed)
+        assert anm._svd_of.cache_info().misses == 2
+        self._clear()
+        fresh = anm.code_svd(changed.copy())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:4], fresh[:4]))
+        assert got[4] == fresh[4]
 
     def test_factors_are_read_only_and_factor_the_matrix(self):
         G = build_code_schedule(12, 9, seed=4).codes

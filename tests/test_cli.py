@@ -294,7 +294,10 @@ class TestBench:
         assert summary[("crb", "inf")] == "" and summary[("fft", "20.0")] != ""
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        plan = PlanConfig(methods=("fft", "crb"), snr_list=(20.0,), trials=2, seed=17)
+        # two workers split five trials of three cells each
+        plan = PlanConfig(
+            methods=("fft", "crb"), snr_list=(math.inf, 10.0, 20.0), trials=5, seed=17
+        )
         serial = run_bench(tiny_scenario(), plan, tmp_path / "serial")
         import dataclasses
 
@@ -303,6 +306,59 @@ class TestBench:
         )
         assert serial.estimates.read_bytes() == parallel.estimates.read_bytes()
         assert serial.summary.read_bytes() == parallel.summary.read_bytes()
+
+    def test_each_trial_draws_its_scene_once(self, tmp_path, monkeypatch):
+        from risdoa import config
+
+        calls = []
+        for name in ("sample_sources", "sample_impairments"):
+            original = getattr(config, name)
+            monkeypatch.setattr(
+                config, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+        plan = PlanConfig(methods=("fft",), snr_list=(math.inf, 10.0, 20.0), trials=4, seed=17)
+        run_bench(tiny_scenario(), plan, tmp_path / "out")
+        assert sorted(calls) == ["sample_impairments"] * 4 + ["sample_sources"] * 4
+
+    def test_trial_cells_equal_fresh_synthesis(self, monkeypatch):
+        from risdoa import model
+        from risdoa.config import STREAM_IMPAIRMENTS, STREAM_SOURCES, snr_index
+        from risdoa.seeding import child_seed
+
+        scenario = tiny_scenario()
+        plan = PlanConfig(methods=("fft",), snr_list=(math.inf, 10.0, 20.0), trials=2, seed=17)
+        snaps, cleans = [], []
+        original = harness.received
+
+        def spy(clean, snr_db, seed):
+            cleans.append(clean)
+            snaps.append(original(clean, snr_db, seed))
+            return snaps[-1]
+
+        monkeypatch.setattr(harness, "received", spy)
+        harness._init_worker(scenario, plan, None)
+        for trial in range(plan.trials):
+            records = harness._run_trial(trial)
+            assert not [r.error for r in records if r.error]
+        assert len(snaps) == plan.trials * len(plan.snr_list)
+        schedule = scenario.schedule()
+        cells = [(trial, snr) for trial in range(plan.trials) for snr in plan.snr_list]
+        for (trial, snr_db), snap, clean in zip(cells, snaps, cleans):
+            trial_seed = child_seed(plan.seed, 0, trial)
+            fresh = model.synthesize_impaired(
+                scenario.geometry,
+                schedule,
+                scenario.draw_impairments(child_seed(trial_seed, STREAM_IMPAIRMENTS)),
+                scenario.draw_sources(child_seed(trial_seed, STREAM_SOURCES)),
+                snr_db,
+                child_seed(plan.seed, 1, snr_index(snr_db), trial),
+            )
+            assert snap.samples.tobytes() == fresh.samples.tobytes()
+            assert (snap.noise_power, snap.seed) == (fresh.noise_power, fresh.seed)
+            with pytest.raises(ValueError, match="read-only"):
+                clean[0] = 0.0
+        # the noiseless cell runs first, on the trial's clean vector itself
+        assert snaps[0].samples is cleans[0]
 
     def test_run_builds_its_invariants_once(self, tmp_path, monkeypatch):
         from risdoa import harness

@@ -330,6 +330,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="repeat"):
             PlanConfig(**field)
 
+    def test_plan_snrs_in_one_millidecibel_are_refused(self):
+        # both would round to one noise-seed index and draw the same noise in every trial
+        with pytest.raises(ConfigError, match="snr_list"):
+            PlanConfig(snr_list=(10.0, 10.0004))
+
+    @pytest.mark.parametrize("snrs", [(10.0, 10.001), (math.inf, 0.0)])
+    def test_plan_snrs_with_their_own_noise_seed_are_accepted(self, snrs):
+        assert PlanConfig(snr_list=snrs).snr_list == snrs
+
     @pytest.mark.parametrize("field", ["dataset_size", "epochs", "batch_size"])
     @pytest.mark.parametrize("value", [0, -2, 1.5])
     def test_train_counts_are_positive_integers(self, field, value):
