@@ -101,7 +101,7 @@ class ScenarioConfig:
         _check_int("num_samples", self.num_samples, least=1)
         _check_int("seed", self.seed)
         if not _is_level(self.snr_db):
-            raise ConfigError(f"snr_db must be a number or +inf, got {self.snr_db!r}")
+            raise ConfigError(f"snr_db must be a number within ±3000 dB or +inf, got {self.snr_db!r}")
 
     def schedule(self) -> CodeSchedule:
         return build_code_schedule(
@@ -156,8 +156,8 @@ def _is_sequence(value, length: int) -> bool:
 
 
 def _is_level(value) -> bool:
-    """An SNR in dB: +inf is a noiseless snapshot; NaN and -inf name no noise level."""
-    return _is_real(value) and not math.isnan(value) and value != -math.inf
+    """An SNR in dB: +inf (noiseless) or within ±3000 dB, where 10^(snr/10) stays a normal float."""
+    return _is_real(value) and (value == math.inf or abs(value) <= 3000.0)
 
 
 def snr_index(snr_db: float) -> int:
@@ -181,7 +181,7 @@ class PlanConfig:
         _check_int("seed", self.seed)
         bad = [v for v in self.snr_list if not _is_level(v)]
         if bad:
-            raise ConfigError(f"snr_list must hold SNR numbers or +inf, got {bad}")
+            raise ConfigError(f"snr_list must hold SNR numbers within ±3000 dB or +inf, got {bad}")
         for name in ("methods", "snr_list"):
             values = getattr(self, name)
             if not values:

@@ -339,7 +339,7 @@ class TestBench:
         harness._init_worker(scenario, plan, None)
         for trial in range(plan.trials):
             records = harness._run_trial(trial)
-            assert not [r.error for r in records if r.error]
+            assert not any(r.error for r in records)
         assert len(snaps) == plan.trials * len(plan.snr_list)
         schedule = scenario.schedule()
         cells = [(trial, snr) for trial in range(plan.trials) for snr in plan.snr_list]

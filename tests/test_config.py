@@ -276,7 +276,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="workers"):
             PlanConfig(workers=workers)
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf, "a", "20"])
+    @pytest.mark.parametrize(
+        "snr",
+        [math.nan, -math.inf, "a", "20", 4000.0, -4000.0, 1e306, pytest.param(10**400, id="10**400")],
+    )
     def test_plan_snr_is_a_level(self, snr):
         with pytest.raises(ConfigError, match="SNR"):
             PlanConfig(snr_list=(10.0, snr))
@@ -377,7 +380,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="num_samples"):
             ScenarioConfig(num_samples=samples)
 
-    @pytest.mark.parametrize("snr", [math.nan, -math.inf, "20"])
+    # beyond ±3000 dB, 10^(snr/10) overflows or vanishes and the noise power cannot be formed
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, "20", 4000.0, -4000.0])
     def test_scenario_snr_is_a_level(self, snr):
         with pytest.raises(ConfigError, match="snr_db"):
             ScenarioConfig(snr_db=snr)
@@ -506,6 +510,7 @@ class TestMalformedFiles:
             (load_train_settings, '{"train": {"hidden_widths": [64, [64], 64, 64]}}'),
             (load_plan, '{"bench": {"methods": ["fft", 5]}}'),
             (load_plan, "[bench]\nsnr_list = 10 x\n"),
+            (load_plan, "[bench]\nsnr_list = 10 1e306\n"),
         ],
     )
     def test_malformed_value_raises_config_error(self, tmp_path, loader, text):
