@@ -40,9 +40,9 @@ border 0.5 ||z - G x||^2 has Hessian eigenvalues s^2 / 2, and the geometric
 mean of the extreme curvatures is the ADMM step size of Ghadimi, Teixeira,
 Shames & Johansson (2015). When the noise power P is given, that start is
 multiplied by sqrt(||z|| / sqrt(P)), the root of the data's amplitude SNR,
-which rescaling z by c and P by c^2 leaves alone; an explicit alpha without
-P, a zero z and P = 0 keep the curvature start. The ball coupling has no
-data curvature and starts at rho = 1.
+which rescaling z by c and P by c^2 leaves alone; a zero z and P = 0 keep
+the curvature start. The ball coupling has no data curvature and starts at
+rho = 1.
 
 W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
 packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
@@ -340,12 +340,11 @@ class SolverConfig:
 
     mode selects the data coupling: "noise-ball" enforces
     ||z - G x|| <= sqrt(noise_power) exactly, "regularized" adds
-    0.5 ||z - G x||^2 and weights the trace by alpha (default
-    sigma * sqrt(MN log MN) with sigma the per-sample noise deviation).
+    0.5 ||z - G x||^2 and weights the trace by sigma * sqrt(MN log MN),
+    sigma being the per-sample noise deviation. Both read noise_power.
     """
 
     mode: str = "noise-ball"
-    alpha: float | None = None
     max_iterations: int = 50_000
     tolerance: float = 1e-6
 
@@ -356,9 +355,6 @@ class SolverConfig:
         # written to refuse NaN, which would only fail at the end of the budget
         if not (_is_real(self.tolerance) and 0.0 < self.tolerance < math.inf):
             raise ConfigError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
-        alpha = self.alpha
-        if alpha is not None and not (_is_real(alpha) and math.isfinite(alpha) and alpha >= 0):
-            raise ConfigError(f"alpha must be finite and nonnegative, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -425,17 +421,6 @@ _NEWTON_STOP = 1e-7
 _LAST_SVD: list = [None, None]  # (shape, bytes) of the last code_svd argument, its factors
 
 
-@lru_cache(maxsize=4)
-def _svd_of(shape: tuple, data: bytes):
-    with _one_blas_thread():
-        U, s, Vh = np.linalg.svd(np.frombuffer(data, dtype=complex).reshape(shape), full_matrices=True)
-    V = Vh.conj()
-    for a in (U, s, Vh, V):
-        a.flags.writeable = False  # shared by every solve through the cache
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-    return U, s, Vh, V.T, rank
-
-
 def code_svd(G: np.ndarray):
     """Full SVD (U, s, Vh) of the code matrix G, V = Vh^H and G's numerical rank.
 
@@ -443,14 +428,19 @@ def code_svd(G: np.ndarray):
     the range of G. The SVD runs with both BLAS pools on one thread, like
     a solve, so the factors have the same bits under any thread setting.
     A benchmark run solves many snapshots against one code matrix, so the
-    result is cached by G's contents: a matrix with the same shape and
-    bytes reuses it, and any change to an entry misses the cache. The last
-    G is compared first, which spares hashing its bytes on a repeat.
+    last result is kept with G's shape and bytes: a matrix with the same
+    shape and bytes returns it, and any change to an entry computes anew.
     """
     G = np.ascontiguousarray(G, dtype=complex)
     key = (G.shape, G.tobytes())
     if key != _LAST_SVD[0]:
-        _LAST_SVD[:] = key, _svd_of(*key)
+        with _one_blas_thread():
+            U, s, Vh = np.linalg.svd(G, full_matrices=True)
+        V = Vh.conj().T
+        for a in (U, s, Vh, V):
+            a.flags.writeable = False  # shared by every solve against this G
+        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+        _LAST_SVD[:] = key, (U, s, Vh, V, rank)
     return _LAST_SVD[1]
 
 
@@ -488,7 +478,7 @@ class _DataStep:
         if mode == "regularized" and rank:
             self.rho0 = float(self.s[0] * self.s[-1]) / 2.0
             z_norm = float(np.linalg.norm(z))
-            if noise_power and z_norm:  # and scaled by the data's SNR when that is known
+            if noise_power and z_norm:  # and scaled by the data's SNR unless P or z is zero
                 self.rho0 *= math.sqrt(z_norm / math.sqrt(noise_power))
         if mode == "noise-ball":
             budget_sq = self.radius**2 - self.unreachable_sq
@@ -587,15 +577,6 @@ class _DataStep:
         return self.V @ xt
 
 
-def _resolve_alpha(config: SolverConfig, noise_power, n_atoms: int, n_obs: int) -> float:
-    if config.alpha is not None:
-        return float(config.alpha)
-    if noise_power is None:
-        raise ConfigError("regularized mode needs alpha or noise_power to size the trace weight")
-    sigma = math.sqrt(float(noise_power) / n_obs)
-    return sigma * math.sqrt(n_atoms * math.log(n_atoms)) if n_atoms > 1 else sigma
-
-
 def _require_finite(**inputs) -> None:
     """Reject solver input holding NaN or inf, naming the argument."""
     for name, value in inputs.items():
@@ -610,14 +591,15 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
     if G.shape != (z.size, n_atoms):
         raise ValueError(f"code matrix must be {z.size}x{n_atoms}, got {G.shape}")
     _require_finite(z=z, G=G, noise_power=noise_power)
-    if noise_power is not None and noise_power < 0:
-        raise ConfigError(f"noise_power must be nonnegative, got {noise_power!r}")
-    if config.mode == "regularized":
-        data = _DataStep(G, z, "regularized", noise_power=noise_power)
-        return data, _resolve_alpha(config, noise_power, n_atoms, z.size)
     if noise_power is None:
-        raise ConfigError("noise-ball mode requires noise_power")
-    return _DataStep(G, z, "noise-ball", radius=math.sqrt(noise_power)), 1.0
+        raise ConfigError(f"{config.mode} mode requires noise_power")
+    if noise_power < 0:
+        raise ConfigError(f"noise_power must be nonnegative, got {noise_power!r}")
+    if config.mode == "noise-ball":
+        return _DataStep(G, z, "noise-ball", radius=math.sqrt(noise_power)), 1.0
+    sigma = math.sqrt(float(noise_power) / z.size)  # the per-sample noise deviation
+    weight = sigma * math.sqrt(n_atoms * math.log(n_atoms)) if n_atoms > 1 else sigma
+    return _DataStep(G, z, "regularized", noise_power=noise_power), weight
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +794,10 @@ def solve_danm(
 
     noise_power is the squared-norm budget of the residual ball (total
     expected noise energy over the snapshot, i.e. samples x per-sample
-    variance); in regularized mode it sizes the default trace weight and
-    the step-size start. A NaN or inf in z, G or noise_power raises
-    DegenerateInputError, a negative noise_power ConfigError.
+    variance); in regularized mode it sizes the trace weight and the
+    step-size start, so both modes require it. A NaN or inf in z, G or
+    noise_power raises DegenerateInputError, a negative noise_power
+    ConfigError.
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols

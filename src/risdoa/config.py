@@ -140,6 +140,8 @@ class TrainSettings:
         if not (_is_sequence(widths, 4) and all(_is_count(w) and w >= 1 for w in widths)):
             raise ConfigError(f"hidden widths must be four positive integers, got {widths!r}")
         _check_range("SNR range", self.snr_range)
+        if not all(map(_is_level, self.snr_range)):
+            raise ConfigError(f"snr_range must lie within ±3000 dB, got {self.snr_range!r}")
 
 
 def _check_range(label: str, value) -> None:

@@ -42,7 +42,7 @@ from .config import (
 )
 from .errors import ConfigError, RisDoaError
 from .extraction import estimate_doa, estimate_from_full
-from .model import clean_impaired, received, synthesize_ideal, synthesize_impaired, write_snapshot
+from .model import clean_impaired, received, synthesize_impaired, write_snapshot
 from .network import (
     generate_dataset,
     load_model,
@@ -71,17 +71,20 @@ _NOISE_STOP = 1e-3
 
 
 def run_simulate(scenario: ScenarioConfig, out_dir, ideal: bool = False) -> Path:
-    """Write one snapshot of the scenario as CSV plus a JSON sidecar."""
-    sources = scenario.draw_sources(child_seed(scenario.seed, STREAM_SOURCES, 0))
-    noise_seed = child_seed(scenario.seed, STREAM_NOISE, 0)
-    schedule = scenario.schedule()
+    """Write one snapshot of the scenario as CSV plus a JSON sidecar.
+
+    ideal simulates the scenario with its impairments disabled, as
+    [impairments] enabled = false does; the sidecar's hash names the
+    scenario that was simulated.
+    """
     if ideal:
-        snap = synthesize_ideal(scenario.geometry, schedule, sources, scenario.snr_db, noise_seed)
-    else:
-        impairments = scenario.draw_impairments(child_seed(scenario.seed, STREAM_IMPAIRMENTS, 0))
-        snap = synthesize_impaired(
-            scenario.geometry, schedule, impairments, sources, scenario.snr_db, noise_seed
-        )
+        scenario = replace(scenario, impairments=replace(scenario.impairments, enabled=False))
+    sources = scenario.draw_sources(child_seed(scenario.seed, STREAM_SOURCES, 0))
+    impairments = scenario.draw_impairments(child_seed(scenario.seed, STREAM_IMPAIRMENTS, 0))
+    noise_seed = child_seed(scenario.seed, STREAM_NOISE, 0)
+    snap = synthesize_impaired(
+        scenario.geometry, scenario.schedule(), impairments, sources, scenario.snr_db, noise_seed
+    )
     # the directory is made only once every draw has succeeded
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,43 +329,41 @@ def run_bench(
         trials=out_dir / "trials.csv",
         summary=out_dir / "summary.csv",
     )
-    _write_estimates(paths.estimates, records)
-    _write_trials(paths.trials, records)
-    _write_summary(paths.summary, records, plan)
+    estimates = [
+        (r.method, r.snr_db, r.trial, k, r.true_el[k], r.true_az[k], r.est_el[k], r.est_az[k])
+        for r in records
+        for k in range(len(r.est_el))
+    ]
+    trials = [
+        (r.method, r.snr_db, r.trial, _trial_rmse(r), r.seconds, r.iterations, r.error) for r in records
+    ]
+    _write_csv(paths.estimates, "method,snr_db,trial,k,theta_true,phi_true,theta_est,phi_est", estimates)
+    _write_csv(paths.trials, "method,snr_db,trial,rmse_deg,seconds,iterations,error", trials)
+    _write_csv(paths.summary, "method,snr_db,rmse_deg,trials,failures", _summary_rows(records, plan))
     return paths
 
 
-def _write_estimates(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,snr_db,trial,k,theta_true,phi_true,theta_est,phi_est\n")
-        for r in records:
-            for k in range(len(r.est_el)):
-                fh.write(
-                    f"{r.method},{r.snr_db!r},{r.trial},{k},"
-                    f"{r.true_el[k]!r},{r.true_az[k]!r},{r.est_el[k]!r},{r.est_az[k]!r}\n"
-                )
-
-
-def _write_trials(path, records) -> None:
-    # through csv.writer, which quotes the commas of solver messages in error
+def _write_csv(path, header: str, rows) -> None:
+    """A result file: csv.writer writes floats by repr and None as an empty
+    field, and quotes the commas of solver messages."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "snr_db", "trial", "rmse_deg", "seconds", "iterations", "error"])
-        for r in records:
-            rmse = None if r.squared_error is None else rmse_deg([r.squared_error], len(r.true_el))
-            writer.writerow([r.method, r.snr_db, r.trial, rmse, r.seconds, r.iterations, r.error])
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
-def _write_summary(path, records, plan: PlanConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,snr_db,rmse_deg,trials,failures\n")
-        for method in plan.methods:
-            for snr in plan.snr_list:
-                cell = [r for r in records if r.method == method and r.snr_db == snr]
-                good = [r.squared_error for r in cell if r.squared_error is not None]
-                count = len(cell[0].true_el) if cell else 0
-                value = repr(rmse_deg(good, count)) if good else ""
-                fh.write(f"{method},{snr!r},{value},{len(cell)},{len(cell) - len(good)}\n")
+def _trial_rmse(r: TrialRecord):
+    return None if r.squared_error is None else rmse_deg([r.squared_error], len(r.true_el))
+
+
+def _summary_rows(records, plan: PlanConfig):
+    """One row per (method, SNR) cell: its RMSE over the surviving trials, or None."""
+    for method in plan.methods:
+        for snr in plan.snr_list:
+            cell = [r for r in records if r.method == method and r.snr_db == snr]
+            good = [r.squared_error for r in cell if r.squared_error is not None]
+            rmse = rmse_deg(good, len(cell[0].true_el)) if good else None
+            yield [method, snr, rmse, len(cell), len(cell) - len(good)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +419,7 @@ def run_compare(summary_path, out_path=None):
                  "trials": trials, "failures": failures}
             )
     if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write("snr_db,rank,method,rmse_deg,trials,failures\n")
-            for row in out_rows:
-                rmse = "" if row["rmse_deg"] is None else repr(row["rmse_deg"])
-                fh.write(
-                    f"{row['snr_db']!r},{row['rank']},{row['method']},{rmse},"
-                    f"{row['trials']},{row['failures']}\n"
-                )
+        _write_csv(out_path, "snr_db,rank,method,rmse_deg,trials,failures", (r.values() for r in out_rows))
     return out_rows
 
 

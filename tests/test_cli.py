@@ -5,6 +5,7 @@ work negligible while still driving every command path.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -92,6 +93,25 @@ class TestSimulate:
         assert (out / "snapshot_ideal.csv").exists()
         assert (out / "snapshot_ideal.json").exists()
 
+    def test_ideal_flag_simulates_the_scenario_without_impairments(self, tiny_config, tmp_path):
+        # the same bytes as [impairments] enabled = false, whose hash the sidecar names
+        disabled = tmp_path / "disabled.ini"
+        disabled.write_text(TINY_INI + "\n[impairments]\nenabled = false\n")
+        runs = {
+            "ideal": (tiny_config, ["--ideal"], "snapshot_ideal"),
+            "disabled": (disabled, [], "snapshot"),
+            "impaired": (tiny_config, [], "snapshot"),
+        }
+        files = {}
+        for name, (config, flags, stem) in runs.items():
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(config), *flags, "--out", str(out)]) == 0
+            sidecar = json.loads((out / f"{stem}.json").read_text())
+            files[name] = (out / f"{stem}.csv").read_bytes(), sidecar["scenario_hash"]
+        assert files["ideal"] == files["disabled"]
+        assert files["ideal"][0] != files["impaired"][0]
+        assert files["ideal"][1] != files["impaired"][1]
+
     def test_malformed_config_exits_with_an_error(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text(TINY_INI + "\n[impairments]\nneighbors = 0;1\n")
@@ -157,6 +177,14 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.bin").exists()
+
+    def test_snr_range_beyond_3000_db_exits_with_an_error(self, tmp_path, capsys):
+        config = tmp_path / "loud.ini"
+        config.write_text(TINY_INI.replace("batch_size = 8", "batch_size = 8\nsnr_range = 4000 5000"))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.bin").exists()
 
     def test_empty_hidden_widths_exit_with_an_error(self, tmp_path, capsys):

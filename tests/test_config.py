@@ -368,6 +368,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="SNR range"):
             TrainSettings(snr_range=snr)
 
+    # beyond ±3000 dB the dataset's noise power overflows or divides by zero
+    @pytest.mark.parametrize("snr", [(4000.0, 5000.0), (-5000.0, -4000.0)])
+    def test_train_snr_range_lies_within_3000_db(self, snr):
+        with pytest.raises(ConfigError, match="^snr_range "):
+            TrainSettings(snr_range=snr)
+        TrainSettings(snr_range=(-3000.0, 3000.0))
+
     def test_train_settings_accept_valid_values(self):
         s = TrainSettings(
             dataset_size=1, epochs=1, batch_size=1, learning_rate=1,
