@@ -1183,7 +1183,8 @@ class TestStepSizeStart:
     def test_zero_code_matrix_solves_from_one(self, monkeypatch):
         geom = RisGeometry(3, 3)
         z = steering_vector(geom, 65.0, -20.0)
-        solve = partial(solve_full_anm, geom, _REGULARIZED, z=z, G=np.zeros((9, 9)), noise_power=_SMALL_POWER)
+        G = np.zeros((9, 9))
+        solve = partial(solve_full_anm, geom, _REGULARIZED, z=z, G=G, noise_power=_SMALL_POWER)
         rho, sol = _start_rho(monkeypatch, solve)
         assert rho == 1.0
         assert np.linalg.norm(sol.x) < 1e-6
