@@ -716,6 +716,10 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match="tolerance"):
             SolverConfig(tolerance=math.nan)
 
+    def test_alpha_is_not_a_setting(self):
+        # the trace weight comes from noise_power alone, so a caller's alpha fails loudly
+        with pytest.raises(TypeError, match="alpha"):
+            SolverConfig(mode="regularized", alpha=1e-3)
 
 
 class TestDecoupledSolver:
@@ -849,6 +853,34 @@ def test_negative_noise_power_rejected(program, mode):
     }[program]
     with pytest.raises(ConfigError, match="noise_power"):
         solve(noise_power=-1e-3)
+
+
+@pytest.mark.parametrize("mode", ["noise-ball", "regularized"])
+@pytest.mark.parametrize("program", ["danm", "full"])
+def test_missing_noise_power_rejected_in_either_mode(program, mode):
+    # the ball radius and the regularized trace weight both come from noise_power
+    geom, G, z = _full_denoise_problem()
+    config = SolverConfig(mode=mode)
+    solve = {
+        "danm": partial(solve_danm, z, G, geom, config),
+        "full": partial(solve_full_anm, geom, config, z=z, G=G),
+    }[program]
+    with pytest.raises(ConfigError, match=f"^{mode} mode requires noise_power"):
+        solve()
+
+
+def test_regularized_trace_weight_follows_noise_power():
+    # sigma * sqrt(MN log MN), sigma the per-sample deviation (Bhaskar, Tang & Recht 2013)
+    G = build_code_schedule(12, 9, seed=5).codes
+    z = G @ steering_vector(RisGeometry(3, 3), 60.0, 0.0)
+    for power in (0.0, _SMALL_POWER, 1e-2):
+        _, weight = anm._coupling(_REGULARIZED, z, G, power, 9)
+        expected = math.sqrt(power / 12) * math.sqrt(9 * math.log(9))
+        assert weight == pytest.approx(expected, rel=1e-12)
+    _, weight = anm._coupling(_REGULARIZED, z, G, _SMALL_POWER, 9)
+    assert weight == pytest.approx(1e-3, rel=1e-2)  # the small power's weight, as its note says
+    _, weight = anm._coupling(SolverConfig(), z, G, _SMALL_POWER, 9)
+    assert weight == 1.0  # the noise ball weights the trace by one
 
 
 class TestFullSolver:
