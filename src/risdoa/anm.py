@@ -41,8 +41,14 @@ mean of the extreme curvatures is the ADMM step size of Ghadimi, Teixeira,
 Shames & Johansson (2015). When the noise power P is given, that start is
 multiplied by sqrt(||z|| / sqrt(P)), the root of the data's amplitude SNR,
 which rescaling z by c and P by c^2 leaves alone; a zero z and P = 0 keep
-the curvature start. The ball coupling has no data curvature and starts at
-rho = 1.
+the curvature start. The ball coupling has no data curvature; at trace
+weight 1 its iterates carry the data's scale and a good rho the inverse
+(Boyd et al. 2011, sec. 3.4.1). It starts at ||G||_F sqrt(side / (||z||
+sqrt(P))) / 8 for the PSD side M + N or MN + 1, up to half that for a
+reconstruction (_DataStep): 1/c times as much for c z at c^2 P, growing with
+the root of the amplitude SNR. Residual balancing reads rho in units of that
+start, so a noise-ball solve of 2^j z at 4^j P is exactly 2^j times that of
+z at P in as many iterations. A zero radius, z or G (the atomic norm) keeps 1.
 
 W advances by type-II Anderson acceleration (Walker & Ni 2011) on the
 packed vector, as in SCS 3 (O'Donoghue 2021): the next W is g(W) minus the
@@ -416,6 +422,8 @@ class AtomicDecomposition:
 # Newton steps per ball projection before brentq takes over; the relative step that ends them
 _NEWTON_STEPS = 30
 _NEWTON_STOP = 1e-7
+# the divisor of the noise-ball start (module docstring)
+_BALL_START = 8.0
 
 
 _LAST_SVD: list = [None, None]  # (shape, bytes) of the last code_svd argument, its factors
@@ -452,7 +460,9 @@ class _DataStep:
     warm start of the ball projection and that solve's root-finding counts.
     """
 
-    def __init__(self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0, noise_power=None):
+    def __init__(
+        self, G: np.ndarray, z: np.ndarray, mode: str, radius: float = 0.0, noise_power=None, side=0
+    ):
         self.mode = mode
         self.radius = float(radius)
         U, s, self.Vh, self.V, rank = code_svd(G)  # V maps the SVD basis back
@@ -475,9 +485,9 @@ class _DataStep:
         self.brentq_fallbacks = 0
         # the starting step size (module docstring); a zero G has no curvature
         self.rho0 = 1.0
+        z_norm = float(np.linalg.norm(z))
         if mode == "regularized" and rank:
             self.rho0 = float(self.s[0] * self.s[-1]) / 2.0
-            z_norm = float(np.linalg.norm(z))
             if noise_power and z_norm:  # and scaled by the data's SNR unless P or z is zero
                 self.rho0 *= math.sqrt(z_norm / math.sqrt(noise_power))
         if mode == "noise-ball":
@@ -488,6 +498,16 @@ class _DataStep:
                     "exceeding the noise ball"
                 )
             self.budget_sq = max(budget_sq, 0.0)
+            if rank and z_norm and self.radius:  # the atomic norm's exact fit keeps 1
+                # h: the energy outside the range of G over the share of P white noise leaves there
+                samples, outside = G.shape[0], G.shape[0] - rank
+                h = self.unreachable_sq * samples / (outside * self.radius**2) if outside else 1.0
+                shrink = math.sqrt(math.sqrt(min(1.0, max(h, 1.0 / 16.0))))
+                g_norm = math.sqrt(float(self.s_sq.sum()))
+                self.rho0 = g_norm * math.sqrt(side / (z_norm * self.radius)) / _BALL_START * shrink
+        # residual balancing reads rho in units of this: the ball start carries the
+        # inverse of the data's scale, while a regularized rho carries none
+        self.rho_unit = self.rho0 if mode == "noise-ball" else 1.0
 
     def ball_project(self, x0: np.ndarray) -> np.ndarray:
         """Nearest x to x0 with ||z - G x|| inside the noise ball.
@@ -584,8 +604,9 @@ def _require_finite(**inputs) -> None:
             raise DegenerateInputError(f"{name} contains NaN or inf")
 
 
-def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
-    """Checked observation pair -> (data step in the configured mode, trace weight)."""
+def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int, side: int):
+    """Checked observation pair -> (data step in the configured mode, trace weight); side is
+    that of the program's PSD block, which sizes the noise-ball start."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     G = np.asarray(G, dtype=complex)
     if G.shape != (z.size, n_atoms):
@@ -596,7 +617,7 @@ def _coupling(config: SolverConfig, z, G, noise_power, n_atoms: int):
     if noise_power < 0:
         raise ConfigError(f"noise_power must be nonnegative, got {noise_power!r}")
     if config.mode == "noise-ball":
-        return _DataStep(G, z, "noise-ball", radius=math.sqrt(noise_power)), 1.0
+        return _DataStep(G, z, "noise-ball", radius=math.sqrt(noise_power), side=side), 1.0
     sigma = math.sqrt(float(noise_power) / z.size)  # the per-sample noise deviation
     weight = sigma * math.sqrt(n_atoms * math.log(n_atoms)) if n_atoms > 1 else sigma
     return _DataStep(G, z, "regularized", noise_power=noise_power), weight
@@ -743,12 +764,14 @@ def _solve(grids: tuple, data, weight: float, config: SolverConfig, label):
                 anderson.refuse()
                 continue
             if it % _ADAPT_EVERY == 0:
-                # rescaling rho changes the map, so the history is cleared
-                if r_cons > 10.0 * r_dual and rho < 1e8:
+                # rescaling rho changes the map, so the history is cleared; the
+                # dual residual is read in the primal's units (_DataStep.rho_unit)
+                balanced = r_dual / data.rho_unit
+                if r_cons > 10.0 * balanced and rho < 1e8:
                     rho *= 2.0
                     dual /= 2.0
                     anderson.reset()
-                elif r_dual > 10.0 * r_cons and rho > 1e-8:
+                elif balanced > 10.0 * r_cons and rho > 1e-8:
                     rho /= 2.0
                     dual *= 2.0
                     anderson.reset()
@@ -801,7 +824,7 @@ def solve_danm(
     """
     config = config or SolverConfig()
     M, N = geom.rows, geom.cols
-    data, weight = _coupling(config, z, G, noise_power, M * N)
+    data, weight = _coupling(config, z, G, noise_power, M * N, M + N)
     Q, diag = _solve(((1, M), (1, N)), data, weight, config, "decoupled")
     return DecoupledSdpVars(T_x=Q[:M, :M], T_y=Q[M:, M:], X=Q[:M, M:], diagnostics=diag)
 
@@ -831,7 +854,7 @@ def solve_full_anm(
         raise ValueError("pass exactly one of x or the pair (z, G)")
     scale = 1.0
     if x is None:
-        data, weight = _coupling(config, z, G, noise_power, mn)
+        data, weight = _coupling(config, z, G, noise_power, mn, mn + 1)
     else:
         x = np.asarray(x, dtype=complex).reshape(-1)
         if x.size != mn:

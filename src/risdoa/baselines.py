@@ -148,7 +148,7 @@ def _parabolic_offset(left: float, mid: float, right: float) -> float:
     if denom >= 0.0:  # not a local max in the quadratic sense
         return 0.0
     offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
+    return float(min(max(offset, -0.5), 0.5))  # as np.clip, NaN and -0.0 included
 
 
 def _pick_peaks(spectrum: np.ndarray, dictionary: GridDictionary, count: int):

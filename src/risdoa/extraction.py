@@ -92,12 +92,12 @@ def freqs_to_angles(f_row: float, f_col: float):
         raise ValueError(f"row frequency must lie in [-1, 1], got {f_row}")
     if not np.isfinite(f_col):
         raise ValueError(f"column frequency must be finite, got {f_col}")
-    f_row = float(np.clip(f_row, -1.0, 1.0))
+    f_row = float(min(max(f_row, -1.0), 1.0))  # the builtins keep NaN and -0.0 as np.clip does
     theta = float(np.degrees(np.arccos(f_row)))
     sin_t = float(np.sqrt(max(1.0 - f_row * f_row, 0.0)))
     if sin_t < 1e-6:
         raise EndfirePoleError("azimuth is undefined at the elevation endfire")
-    ratio = float(np.clip(f_col / sin_t, -1.0, 1.0))
+    ratio = float(min(max(f_col / sin_t, -1.0), 1.0))
     phi = float(np.degrees(np.arcsin(ratio)))
     return theta, phi
 

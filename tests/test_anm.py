@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dposv, zheevr
 from scipy.optimize import brentq
 
-from risdoa import anm
+from risdoa import anm, harness
 from risdoa.anm import (
     AtomicDecomposition,
     SolverConfig,
@@ -874,12 +874,12 @@ def test_regularized_trace_weight_follows_noise_power():
     G = build_code_schedule(12, 9, seed=5).codes
     z = G @ steering_vector(RisGeometry(3, 3), 60.0, 0.0)
     for power in (0.0, _SMALL_POWER, 1e-2):
-        _, weight = anm._coupling(_REGULARIZED, z, G, power, 9)
+        _, weight = anm._coupling(_REGULARIZED, z, G, power, 9, 10)
         expected = math.sqrt(power / 12) * math.sqrt(9 * math.log(9))
         assert weight == pytest.approx(expected, rel=1e-12)
-    _, weight = anm._coupling(_REGULARIZED, z, G, _SMALL_POWER, 9)
+    _, weight = anm._coupling(_REGULARIZED, z, G, _SMALL_POWER, 9, 10)
     assert weight == pytest.approx(1e-3, rel=1e-2)  # the small power's weight, as its note says
-    _, weight = anm._coupling(SolverConfig(), z, G, _SMALL_POWER, 9)
+    _, weight = anm._coupling(SolverConfig(), z, G, _SMALL_POWER, 9, 10)
     assert weight == 1.0  # the noise ball weights the trace by one
 
 
@@ -962,10 +962,10 @@ class TestFullSolver:
             solve_full_anm(geom, x=np.zeros(4), G=np.eye(3))
 
 
-def _desk_problem(seed: int, snr_db: float):
-    """A seeded two-source snapshot on the 8 x 8 desk surface with 96 codes."""
-    geom = RisGeometry(8, 8)
-    sched = build_code_schedule(96, geom.n_elements, seed=5)
+def _desk_problem(seed: int, snr_db: float, side: int = 8, samples: int = 96):
+    """A seeded two-source snapshot on the side x side surface, by default the 8 x 8 desk's 96 codes."""
+    geom = RisGeometry(side, side)
+    sched = build_code_schedule(samples, geom.n_elements, seed=5)
     rng = np.random.default_rng(seed)
     src = SourceSet(
         elevations_deg=np.array([40.0, 70.0]) + 10.0 * rng.random(2),
@@ -1062,6 +1062,8 @@ class TestAndersonAcceleration:
         monkeypatch.setattr(anm, "_anderson_weights", record_memory)
         monkeypatch.setattr(anm, "_structure_step", record_rho)
         if direction == "up":
+            # a start four times below the ball start, so that balancing raises rho more than once
+            monkeypatch.setattr(anm, "_BALL_START", 4.0 * anm._BALL_START)
             z, G, geom, budget = _desk_problem(2, 30.0)
             sol = solve_danm(z, G, geom, noise_power=budget)
         else:
@@ -1152,7 +1154,12 @@ class TestStepSizeStart:
 
     A known noise power P multiplies that by sqrt(||z|| / sqrt(P)); a zero
     z and P = 0 keep the curvature scale.
-    The noise-ball coupling starts at 1, the atomic norm's solve included.
+    The noise-ball coupling starts at ||G||_F sqrt(side / (||z|| sqrt(P))) / 8,
+    times min(1, max(h, 1/16))^(1/4) for h the energy of z outside the range
+    of G over the share of P that white noise leaves there. It scales as 1/c
+    under z -> c z, P -> c^2 P, and residual balancing reads rho in units of
+    it, so the solve of the rescaled data is the rescaled solve. A zero
+    radius, z or G keeps 1, the atomic norm's solve included.
     """
 
     @pytest.mark.parametrize("program", ["danm", "full"])
@@ -1191,15 +1198,61 @@ class TestStepSizeStart:
         rho, _ = _start_rho(monkeypatch, solve)
         assert rho == pytest.approx(_curvature_scale(G), rel=1e-12)
 
-    @pytest.mark.parametrize("program", ["danm", "full", "atomic"])
-    def test_ball_and_atomic_couplings_start_at_one(self, monkeypatch, program):
+    @pytest.mark.parametrize("problem", ["noiseless 3x3", "desk 10 dB", "desk 30 dB"])
+    @pytest.mark.parametrize("program", ["danm", "full"])
+    def test_ball_start_follows_the_data_scale_snr_and_side(self, monkeypatch, program, problem):
+        if problem == "noiseless 3x3":  # z in the range of G, so h = 0 and the start halves
+            geom, G, z = _full_denoise_problem()
+            power = 1e-4
+        else:
+            z, G, geom, power = _desk_problem(3, float(problem.split()[1]))
+        side = {"danm": geom.rows + geom.cols, "full": geom.n_elements + 1}[program]
+        solve = {
+            "danm": partial(solve_danm, z, G, geom, noise_power=power),
+            "full": partial(solve_full_anm, geom, z=z, G=G, noise_power=power),
+        }[program]
+        rho, _ = _start_rho(monkeypatch, solve)
+        # h from a least-squares fit: the residual is the part of z outside the range of G
+        fit = G @ np.linalg.lstsq(G, z, rcond=None)[0]
+        outside = float(np.vdot(z - fit, z - fit).real) / power * z.size / (z.size - G.shape[1])
+        shrink = min(1.0, max(outside, 1.0 / 16.0)) ** 0.25
+        radius = math.sqrt(power)
+        expected = np.linalg.norm(G) * math.sqrt(side / (np.linalg.norm(z) * radius)) / 8.0 * shrink
+        assert rho == pytest.approx(expected, rel=1e-9)
+        assert (shrink == 0.5) == (problem == "noiseless 3x3")
+
+    @pytest.mark.parametrize("case", ["atomic", "zero radius", "zero z"])
+    def test_ball_without_radius_or_data_starts_at_one(self, monkeypatch, case):
         geom, G, z = _full_denoise_problem()
         solve = {
-            "danm": partial(solve_danm, z, G, geom, noise_power=1e-4),
-            "full": partial(solve_full_anm, geom, z=z, G=G, noise_power=1e-4),
             "atomic": partial(solve_full_anm, geom, x=np.linalg.lstsq(G, z, rcond=None)[0]),
-        }[program]
+            "zero radius": partial(solve_danm, z, G, geom, noise_power=0.0),
+            "zero z": partial(solve_danm, 0.0 * z, G, geom, noise_power=1e-4),
+        }[case]
         assert _start_rho(monkeypatch, solve)[0] == 1.0
+
+    @pytest.mark.parametrize("program", ["danm", "full"])
+    def test_noise_ball_solve_scales_with_the_data(self, program):
+        # (2^j z, 4^j P) must give 2^j times the solution of (z, P), bit for
+        # bit and in as many iterations: the start scales by 2^-j, residual
+        # balancing is read in its units, and neither _FLOOR nor a rho clamp
+        # binds for j in -10..10. The solve runs past a balancing step, which
+        # compared residuals of different scales while rho started at 1.
+        z, G, geom, power = _desk_problem(2, 30.0)
+
+        def solve(j):
+            data, noise_power = 2.0**j * z, 4.0**j * power
+            if program == "danm":
+                return solve_danm(data, G, geom, noise_power=noise_power)
+            return solve_full_anm(geom, z=data, G=G, noise_power=noise_power)
+
+        base = solve(0)
+        assert base.diagnostics.iterations > anm._ADAPT_EVERY
+        for j in range(-10, 11):
+            scaled = solve(j)
+            assert scaled.diagnostics.iterations == base.diagnostics.iterations, j
+            assert scaled.diagnostics.rho_final == 2.0**-j * base.diagnostics.rho_final, j
+            assert np.array_equal(_bordered(scaled), 2.0**j * _bordered(base)), j
 
     def test_only_nonzero_singular_values_count(self, monkeypatch):
         geom = RisGeometry(3, 3)
@@ -1254,6 +1307,57 @@ class TestStepSizeStart:
         base, scaled = solve(1.0), solve(2.0**k)
         assert scaled.diagnostics.iterations == base.diagnostics.iterations
         assert np.array_equal(_bordered(scaled), 2.0**k * _bordered(base))
+
+
+def _noise_stop_iterations(z, G, geom, power) -> int:
+    """Iterations of the noise-ball DANM solve at the benchmark's noise-scaled stop."""
+    config = harness._noise_stop(harness._DANM_CONFIG, power, z)
+    return solve_danm(z, G, geom, config, noise_power=power).diagnostics.iterations
+
+
+# Iterations of the sets below with the noise-ball start fixed at rho = 1 and
+# residual balancing on the bare dual residual (commit 70cb8fe, the parent of
+# the data-scaled start): (a) ideal desk snapshots, seeds 0-11, per SNR;
+# (b) square surfaces of side 3, 4, 6 and 8 with 12, 24, 48 and 96 codes,
+# seeds 0-5 at 10 and 30 dB, per side; (c) set (a) at 20 dB with z scaled by
+# 2^j and P by 4^j, per j. The data-scaled start gave 377/449/554/853,
+# 307/366/507/698 and 554/554.
+_GATE_PARENT = {
+    "a": {0.0: 429, 10.0: 433, 20.0: 565, 30.0: 1020},
+    "b": {3: 315, 4: 400, 6: 565, 8: 762},
+    "c": {-6: 3071, 6: 2759},
+}
+
+
+def test_noise_stop_iterations_stay_within_the_committed_gate():
+    # the gate of a noise-ball step-size change: each set's total may not
+    # exceed the rho = 1 start's, and no SNR, surface or scale of a set more
+    # than 10% above that start's
+    counts = {
+        "a": {
+            snr: sum(_noise_stop_iterations(*_desk_problem(seed, snr)) for seed in range(12))
+            for snr in _GATE_PARENT["a"]
+        },
+        "b": {
+            side: sum(
+                _noise_stop_iterations(*_desk_problem(seed, snr, side, samples))
+                for seed in range(6)
+                for snr in (10.0, 30.0)
+            )
+            for side, samples in ((3, 12), (4, 24), (6, 48), (8, 96))
+        },
+        "c": {},
+    }
+    for j in _GATE_PARENT["c"]:
+        total = 0
+        for seed in range(12):
+            z, G, geom, power = _desk_problem(seed, 20.0)
+            total += _noise_stop_iterations(2.0**j * z, G, geom, 4.0**j * power)
+        counts["c"][j] = total
+    for name, parent in _GATE_PARENT.items():
+        assert sum(counts[name].values()) <= sum(parent.values()), (name, counts[name])
+        for key, count in counts[name].items():
+            assert count <= 1.1 * parent[key], (name, key, count)
 
 
 def _pinned_solves():
@@ -1312,7 +1416,7 @@ def pinned_solves():
 
 # one digest per mode, so a change to one coupling shows which pins it moved
 _PINNED_DIGESTS = {
-    "noise-ball": "9766c4b2e7f81681d2c51352f4e684263df772e2d4c83e16df700884f2b92430",
+    "noise-ball": "fa68927ae7880c007dba10519d28ea3785dbd577c28aee8aeb993b2d5957c7a6",
     "regularized": "4afd06d1a6b45abdca71f48ec4eb112fea5770eaa04fa1caeca25c609e6e8c09",
     "atomic": "c4301a75506bea0bd9f3aa2d0c059680146c3cf13541e5f2cd9fd7665696b0a3",
 }

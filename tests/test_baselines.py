@@ -95,6 +95,19 @@ class TestRefinement:
     def test_offset_clipped_to_half_step(self):
         assert abs(_parabolic_offset(1.0, 1.001, 1.0009)) <= 0.5
 
+    def test_clamp_gives_the_bits_of_numpy_clip(self):
+        # the builtin clamp keeps NaN and the sign of zero, as np.clip does
+        rng = np.random.default_rng(4)
+        triples = [(1.0, 1.001, 1.0009), (0.0, 1.0, 0.0), (np.nan, 1.0, 0.0)]
+        triples += [tuple(t) for t in rng.normal(size=(200, 3))]
+        for left, mid, right in triples:
+            denom = left - 2.0 * mid + right
+            offset = _parabolic_offset(left, mid, right)
+            if not denom >= 0.0:  # as the function, so a NaN denominator is clamped too
+                expected = float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+                assert np.array_equal(offset, expected, equal_nan=True)
+                assert np.signbit(offset) == np.signbit(expected)
+
     def test_off_grid_source_improves_with_refinement(self):
         sources = SourceSet([40.4], [9.7], [1.0 + 0j])
         snap = clean_snapshot(sources)
